@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::str::FromStr;
 
 use std::path::{Path, PathBuf};
 
@@ -14,7 +15,7 @@ use dram_sim::PagePolicy;
 use pra_core::{Report, Scheme, SimBuilder, SimError};
 use sim_fault::FaultPlan;
 use sim_harness::{load_journal, run_campaign, Campaign, CampaignOptions, RunStatus};
-use workloads::BenchProfile;
+use workloads::Workload;
 
 /// Failure category, mapped one-to-one onto the process exit code so
 /// scripts can branch on *why* `pra` failed without parsing messages.
@@ -124,6 +125,20 @@ impl Options {
         BOOLEAN_FLAGS.contains(&key) && self.flags.contains_key(key)
     }
 
+    /// A named value (scheme, policy, workload) parsed with its `FromStr`,
+    /// with a default.
+    ///
+    /// # Errors
+    ///
+    /// The parser's message, which lists the valid names.
+    fn get_parsed<T: FromStr<Err = String>>(
+        &self,
+        key: &str,
+        default: &str,
+    ) -> Result<T, CliError> {
+        self.get(key).unwrap_or(default).parse().map_err(err)
+    }
+
     /// A parsed numeric option with a default.
     ///
     /// # Errors
@@ -139,67 +154,6 @@ impl Options {
     }
 }
 
-/// Resolves a scheme name (case-insensitive; accepts the paper's spellings
-/// and compact aliases).
-///
-/// # Errors
-///
-/// Lists the valid names on failure.
-pub fn parse_scheme(name: &str) -> Result<Scheme, CliError> {
-    match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-        "baseline" | "base" | "conventional" => Ok(Scheme::Baseline),
-        "fga" => Ok(Scheme::Fga),
-        "halfdram" | "half" => Ok(Scheme::HalfDram),
-        "pra" => Ok(Scheme::Pra),
-        "halfdrampra" | "combined" => Ok(Scheme::HalfDramPra),
-        "dbi" => Ok(Scheme::Dbi),
-        "dbipra" => Ok(Scheme::DbiPra),
-        _ => Err(err(format!(
-            "unknown scheme {name:?}; valid: baseline, fga, half-dram, pra, half-dram-pra, dbi, dbi-pra"
-        ))),
-    }
-}
-
-/// Resolves a page-policy name.
-///
-/// # Errors
-///
-/// Lists the valid names on failure.
-pub fn parse_policy(name: &str) -> Result<PagePolicy, CliError> {
-    match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-        "relaxed" | "relaxedclosepage" => Ok(PagePolicy::RelaxedClosePage),
-        "restricted" | "restrictedclosepage" => Ok(PagePolicy::RestrictedClosePage),
-        "open" | "openpage" => Ok(PagePolicy::OpenPage),
-        _ => Err(err(format!(
-            "unknown policy {name:?}; valid: relaxed, restricted, open"
-        ))),
-    }
-}
-
-/// Resolves a workload name to up to four application profiles: a benchmark
-/// name gives `cores` identical instances; `MIX1`..`MIX6` give the paper's
-/// Table 4 mixes (always 4 cores).
-///
-/// # Errors
-///
-/// Lists the valid names on failure.
-pub fn parse_workload(name: &str, cores: usize) -> Result<(String, Vec<BenchProfile>), CliError> {
-    if let Some(mix) = workloads::all_mixes()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(name))
-    {
-        return Ok((mix.name.to_string(), mix.apps.to_vec()));
-    }
-    if let Some(profile) = workloads::by_name(name) {
-        return Ok((profile.name.to_string(), vec![profile; cores]));
-    }
-    let names: Vec<&str> = workloads::all_benchmarks().iter().map(|b| b.name).collect();
-    Err(err(format!(
-        "unknown workload {name:?}; valid: {} or MIX1..MIX6",
-        names.join(", ")
-    )))
-}
-
 fn build(opts: &Options, scheme: Scheme) -> Result<(String, SimBuilder), CliError> {
     let cores = opts.get_u64("cores", 4)? as usize;
     if cores == 0 || cores > 4 {
@@ -207,16 +161,16 @@ fn build(opts: &Options, scheme: Scheme) -> Result<(String, SimBuilder), CliErro
             "--cores must be 1..=4 (the 8 GB space is split per core)",
         ));
     }
-    let workload = opts.get("workload").unwrap_or("GUPS");
-    let (name, apps) = parse_workload(workload, cores)?;
-    let policy = parse_policy(opts.get("policy").unwrap_or("relaxed"))?;
+    let workload: Workload = opts.get_parsed("workload", "GUPS")?;
+    let name = workload.name().to_string();
+    let policy: PagePolicy = opts.get_parsed("policy", "relaxed")?;
     let mut builder = SimBuilder::new()
         .name(name.clone())
         .scheme(scheme)
         .policy(policy)
         .instructions(opts.get_u64("instructions", 100_000)?)
         .seed(opts.get_u64("seed", 1)?);
-    for app in apps {
+    for app in workload.apps(cores) {
         builder = builder.app(app);
     }
     if let Some(w) = opts.get("warmup") {
@@ -340,7 +294,7 @@ fn render_report(report: &Report) -> String {
 ///
 /// Propagates option and name resolution errors.
 pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
-    let scheme = parse_scheme(opts.get("scheme").unwrap_or("pra"))?;
+    let scheme: Scheme = opts.get_parsed("scheme", "pra")?;
     let (_, builder) = build(opts, scheme)?;
     if opts.get_bool("verify-determinism") {
         let report = builder.try_run_verified()?;
@@ -461,7 +415,7 @@ pub fn cmd_list() -> String {
 pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
     match opts.positional.first().map(String::as_str) {
         Some("run") => {
-            let scheme = parse_scheme(opts.get("scheme").unwrap_or("pra"))?;
+            let scheme: Scheme = opts.get_parsed("scheme", "pra")?;
             let (_, mut builder) = build(opts, scheme)?;
             let trace_path = opts
                 .get("trace-out")
@@ -536,12 +490,13 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
             Ok(out)
         }
         Some("record") => {
-            let (name, apps) = parse_workload(opts.get("workload").unwrap_or("GUPS"), 1)?;
+            let workload: Workload = opts.get_parsed("workload", "GUPS")?;
             let ops = opts.get_u64("ops", 100_000)? as usize;
             let path = opts
                 .get("out")
                 .ok_or_else(|| err("trace record needs --out <file>"))?;
-            let mut generator = workloads::WorkloadGen::new(apps[0], opts.get_u64("seed", 1)?, 0);
+            let app = workload.apps(1)[0];
+            let mut generator = workloads::WorkloadGen::new(app, opts.get_u64("seed", 1)?, 0);
             let trace = workloads::Trace::record(&mut generator, ops);
             let file = std::fs::File::create(path)
                 .map_err(|e| err(format!("cannot create {path}: {e}")))?;
@@ -549,9 +504,10 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                 .save(std::io::BufWriter::new(file))
                 .map_err(|e| err(format!("write failed: {e}")))?;
             Ok(format!(
-                "recorded {} ops ({} memory ops) of {name} to {path}\n",
+                "recorded {} ops ({} memory ops) of {} to {path}\n",
                 trace.len(),
-                trace.memory_ops()
+                trace.memory_ops(),
+                workload.name()
             ))
         }
         Some("info") => {
@@ -596,7 +552,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
             } else {
                 // Run mode: simulate with a flight-recorder ring and the
                 // host-time profiler, then export both clock domains.
-                let scheme = parse_scheme(opts.get("scheme").unwrap_or("pra"))?;
+                let scheme: Scheme = opts.get_parsed("scheme", "pra")?;
                 let (_, mut builder) = build(opts, scheme)?;
                 let capacity = opts.get_u64("ring", 65_536)? as usize;
                 if capacity == 0 {
@@ -668,7 +624,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
 pub fn cmd_prof(opts: &Options) -> Result<String, CliError> {
     match opts.positional.first().map(String::as_str) {
         Some("run") => {
-            let scheme = parse_scheme(opts.get("scheme").unwrap_or("pra"))?;
+            let scheme: Scheme = opts.get_parsed("scheme", "pra")?;
             let (_, builder) = build(opts, scheme)?;
             let top = opts.get_u64("top", 10)? as usize;
             sim_prof::reset();
@@ -857,11 +813,12 @@ pub fn cmd_campaign(opts: &Options) -> Result<String, CliError> {
 ///
 /// Propagates option and name resolution errors.
 pub fn cmd_analyze(opts: &Options) -> Result<String, CliError> {
-    let (name, apps) = parse_workload(opts.get("workload").unwrap_or("GUPS"), 1)?;
+    let workload: Workload = opts.get_parsed("workload", "GUPS")?;
     let ops = opts.get_u64("ops", 200_000)?;
-    let mut generator = workloads::WorkloadGen::new(apps[0], opts.get_u64("seed", 1)?, 0);
+    let app = workload.apps(1)[0];
+    let mut generator = workloads::WorkloadGen::new(app, opts.get_u64("seed", 1)?, 0);
     let summary = workloads::analysis::analyze(&mut generator, ops);
-    Ok(render_summary(&name, &summary))
+    Ok(render_summary(workload.name(), &summary))
 }
 
 /// `pra power run`: one simulation with live power telemetry — an
@@ -880,7 +837,7 @@ pub fn cmd_power(opts: &Options) -> Result<String, CliError> {
             )))
         }
     }
-    let scheme = parse_scheme(opts.get("scheme").unwrap_or("pra"))?;
+    let scheme: Scheme = opts.get_parsed("scheme", "pra")?;
     let epoch = opts.get_u64("epoch", 20_000)?;
     if epoch == 0 {
         return Err(err("--epoch must be a positive cycle count"));
@@ -1071,25 +1028,19 @@ mod tests {
     }
 
     #[test]
-    fn scheme_and_policy_names() -> TestResult {
-        assert_eq!(parse_scheme("PRA")?, Scheme::Pra);
-        assert_eq!(parse_scheme("half-dram")?, Scheme::HalfDram);
-        assert_eq!(parse_scheme("Half_Dram_PRA")?, Scheme::HalfDramPra);
-        assert!(parse_scheme("turbo").is_err());
-        assert_eq!(parse_policy("open")?, PagePolicy::OpenPage);
-        assert!(parse_policy("lazy").is_err());
-        Ok(())
-    }
-
-    #[test]
-    fn workload_resolution() -> TestResult {
-        let (name, apps) = parse_workload("gups", 4)?;
-        assert_eq!(name, "GUPS");
-        assert_eq!(apps.len(), 4);
-        let (name, apps) = parse_workload("mix3", 1)?;
-        assert_eq!(name, "MIX3");
-        assert_eq!(apps.len(), 4, "mixes are always four apps");
-        assert!(parse_workload("dhrystone", 1).is_err());
+    fn scheme_policy_and_workload_names() -> TestResult {
+        let opts = |args: &[&str]| Options::parse(args.iter().map(|a| a.to_string()));
+        let mix = opts(&["--workload", "mix3", "--policy", "Open"])?;
+        assert_eq!(build(&mix, Scheme::Pra)?.0, "MIX3");
+        for (flag, bad, want) in [
+            ("--scheme", "x", "unknown scheme \"x\"; valid: baseline,"),
+            ("--policy", "x", "unknown policy \"x\"; valid: relaxed,"),
+            ("--workload", "x", "unknown workload \"x\"; valid: bzip2,"),
+        ] {
+            let e = cmd_run(&opts(&[flag, bad])?).expect_err("bad name must error");
+            assert!(e.message.starts_with(want), "{}", e.message);
+            assert_eq!(e.kind, ErrorKind::Config);
+        }
         Ok(())
     }
 

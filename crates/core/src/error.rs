@@ -48,6 +48,12 @@ pub enum SimError {
     /// Checkpointing was half-configured (an interval without a directory,
     /// or a directory without an interval).
     CheckpointConfig(String),
+    /// The measured phase ended before one memory cycle elapsed, so there
+    /// is no time to average power over.
+    NoElapsedTime {
+        /// Instructions each core was asked to retire.
+        instructions: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -71,6 +77,11 @@ impl fmt::Display for SimError {
                 write!(f, "cannot restore {}: {source}", path.display())
             }
             SimError::CheckpointConfig(msg) => write!(f, "{msg}"),
+            SimError::NoElapsedTime { instructions } => write!(
+                f,
+                "the measured phase of {instructions} instructions per core ended before \
+                 one memory cycle: run more instructions"
+            ),
         }
     }
 }

@@ -51,14 +51,7 @@ impl Report {
     /// seed must produce identical digests; `pra run --verify-determinism`
     /// compares them.
     pub fn state_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash
+        sim_snap::codec::fnv1a_64(format!("{self:?}").as_bytes())
     }
 
     /// Total DRAM energy in millijoules.

@@ -1,5 +1,7 @@
 //! The evaluated schemes, including the Section 5.2.3 combinations.
 
+use std::str::FromStr;
+
 use dram_sim::SchemeBehavior;
 
 /// Every scheme the paper evaluates, plus the combinations of its case
@@ -24,6 +26,31 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// Every scheme, in declaration order.
+    pub const ALL: [Scheme; 7] = [
+        Scheme::Baseline,
+        Scheme::Fga,
+        Scheme::HalfDram,
+        Scheme::Pra,
+        Scheme::HalfDramPra,
+        Scheme::Dbi,
+        Scheme::DbiPra,
+    ];
+
+    /// The canonical command-line spelling (`pra run --scheme <this>`).
+    /// Campaign configuration digests hash it, so it must never change.
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            Scheme::Baseline => "baseline",
+            Scheme::Fga => "fga",
+            Scheme::HalfDram => "half-dram",
+            Scheme::Pra => "pra",
+            Scheme::HalfDramPra => "half-dram-pra",
+            Scheme::Dbi => "dbi",
+            Scheme::DbiPra => "dbi-pra",
+        }
+    }
+
     /// The DRAM-side behaviour descriptor.
     pub fn behavior(self) -> SchemeBehavior {
         match self {
@@ -59,9 +86,55 @@ impl Scheme {
     }
 }
 
+impl FromStr for Scheme {
+    type Err = String;
+
+    /// Case-insensitive, ignoring `-` and `_`; accepts the canonical
+    /// spellings plus the aliases `base`, `conventional`, `half` and
+    /// `combined`. The error lists the valid names.
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
+            "baseline" | "base" | "conventional" => Ok(Scheme::Baseline),
+            "fga" => Ok(Scheme::Fga),
+            "halfdram" | "half" => Ok(Scheme::HalfDram),
+            "pra" => Ok(Scheme::Pra),
+            "halfdrampra" | "combined" => Ok(Scheme::HalfDramPra),
+            "dbi" => Ok(Scheme::Dbi),
+            "dbipra" => Ok(Scheme::DbiPra),
+            _ => Err(format!(
+                "unknown scheme {name:?}; valid: {}",
+                Scheme::ALL.map(Scheme::cli_name).join(", ")
+            )),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_cli_name_parses_back() {
+        for s in Scheme::ALL {
+            assert_eq!(s.cli_name().parse::<Scheme>(), Ok(s));
+        }
+    }
+
+    #[test]
+    fn aliases_and_spellings_parse() {
+        assert_eq!("PRA".parse::<Scheme>(), Ok(Scheme::Pra));
+        assert_eq!("Half_Dram_PRA".parse::<Scheme>(), Ok(Scheme::HalfDramPra));
+        assert_eq!("conventional".parse::<Scheme>(), Ok(Scheme::Baseline));
+        assert_eq!("combined".parse::<Scheme>(), Ok(Scheme::HalfDramPra));
+        assert_eq!(
+            "turbo".parse::<Scheme>(),
+            Err(
+                "unknown scheme \"turbo\"; valid: baseline, fga, half-dram, pra, \
+                 half-dram-pra, dbi, dbi-pra"
+                    .to_string()
+            )
+        );
+    }
 
     #[test]
     fn behaviors_match_names() {

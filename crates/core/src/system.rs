@@ -463,7 +463,7 @@ impl SimBuilder {
         }
         w.str(&format!("{:?}", self.liveness));
         w.opt_u64(self.escalation_age);
-        sim_snap::fnv1a_64(&w.into_bytes())
+        sim_snap::codec::fnv1a_64(&w.into_bytes())
     }
 
     /// Builds the system and runs it to completion.
@@ -471,9 +471,10 @@ impl SimBuilder {
     /// # Panics
     ///
     /// Panics if no applications were added, the configuration or fault
-    /// plan is inconsistent, or a requested trace or metrics output file
-    /// cannot be created. Use [`SimBuilder::try_run`] to handle these as
-    /// [`SimError`]s instead.
+    /// plan is inconsistent, a requested trace or metrics output file
+    /// cannot be created, or the measured phase is too short to span one
+    /// memory cycle ([`SimError::NoElapsedTime`]). Use
+    /// [`SimBuilder::try_run`] to handle these as [`SimError`]s instead.
     pub fn run(&self) -> Report {
         // sim-lint: allow(no-panic-hot-path): documented panicking facade; try_run is the fallible API
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
@@ -506,8 +507,9 @@ impl SimBuilder {
     ///
     /// [`SimError::NoApplications`] when no applications were added,
     /// [`SimError::Config`]/[`SimError::FaultPlan`] on inconsistent inputs,
-    /// and [`SimError::Io`] when a trace or metrics output file cannot be
-    /// created.
+    /// [`SimError::Io`] when a trace or metrics output file cannot be
+    /// created, and [`SimError::NoElapsedTime`] when the measured phase
+    /// ends before one memory cycle (a handful of instructions per core).
     pub fn try_run(&self) -> Result<Report, SimError> {
         self.try_run_snap().map(|(report, _)| report)
     }
@@ -729,6 +731,11 @@ impl SimBuilder {
             reg.set_counter(id, dropped);
         }
 
+        if system.mem().elapsed_ns() <= 0.0 {
+            return Err(SimError::NoElapsedTime {
+                instructions: self.instructions,
+            });
+        }
         let workload = self.name.clone().unwrap_or_else(|| {
             self.apps
                 .iter()
@@ -769,6 +776,25 @@ impl Default for SimBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn measured_phase_shorter_than_a_memory_cycle_is_an_error() {
+        let run = |instructions| {
+            SimBuilder::new()
+                .app(workloads::gups())
+                .instructions(instructions)
+                .warmup_mem_ops(100)
+                .try_run()
+        };
+        for n in [0, 1, 2, 3, 4, 8] {
+            match run(n) {
+                Err(SimError::NoElapsedTime { instructions }) => assert_eq!(instructions, n),
+                other => panic!("{n} instructions: expected NoElapsedTime, got {other:?}"),
+            }
+        }
+        let report = run(16).expect("16 instructions span a memory cycle");
+        assert!(report.runtime_ns > 0.0);
+    }
 
     fn quick(scheme: Scheme) -> Report {
         SimBuilder::new()

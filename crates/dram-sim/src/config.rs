@@ -78,11 +78,47 @@ pub enum PagePolicy {
 }
 
 impl PagePolicy {
+    /// Every policy, in declaration order.
+    pub const ALL: [PagePolicy; 3] = [
+        PagePolicy::RelaxedClosePage,
+        PagePolicy::RestrictedClosePage,
+        PagePolicy::OpenPage,
+    ];
+
+    /// The canonical command-line spelling (`pra run --policy <this>`).
+    /// Campaign configuration digests hash it, so it must never change.
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            PagePolicy::RelaxedClosePage => "relaxed",
+            PagePolicy::RestrictedClosePage => "restricted",
+            PagePolicy::OpenPage => "open",
+        }
+    }
+
     /// The address mapping the paper pairs with this policy.
     pub fn paper_mapping(self) -> AddressMapping {
         match self {
             PagePolicy::RelaxedClosePage | PagePolicy::OpenPage => AddressMapping::RowInterleaved,
             PagePolicy::RestrictedClosePage => AddressMapping::LineInterleaved,
+        }
+    }
+}
+
+impl core::str::FromStr for PagePolicy {
+    type Err = String;
+
+    /// Case-insensitive, ignoring `-` and `_`; accepts the canonical
+    /// spellings and the full names (`relaxed-close-page`, …). The error
+    /// lists the valid names.
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
+            "relaxed" | "relaxedclosepage" => Ok(PagePolicy::RelaxedClosePage),
+            "restricted" | "restrictedclosepage" => Ok(PagePolicy::RestrictedClosePage),
+            "open" | "openpage" => Ok(PagePolicy::OpenPage),
+            _ => Err(format!(
+                "unknown policy {name:?}; valid: {}",
+                PagePolicy::ALL.map(PagePolicy::cli_name).join(", ")
+            )),
         }
     }
 }
@@ -330,6 +366,21 @@ mod tests {
         DramConfig::default().assert_valid();
         DramConfig::paper_baseline(PagePolicy::RestrictedClosePage, SchemeBehavior::pra())
             .assert_valid();
+    }
+
+    #[test]
+    fn every_policy_cli_name_parses_back() {
+        for p in PagePolicy::ALL {
+            assert_eq!(p.cli_name().parse::<PagePolicy>(), Ok(p));
+        }
+        assert_eq!(
+            "Relaxed_Close_Page".parse::<PagePolicy>(),
+            Ok(PagePolicy::RelaxedClosePage)
+        );
+        assert_eq!(
+            "lazy".parse::<PagePolicy>(),
+            Err("unknown policy \"lazy\"; valid: relaxed, restricted, open".to_string())
+        );
     }
 
     #[test]

@@ -54,6 +54,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use mem_model::rng::Rng;
 use mem_model::{WordMask, WORDS_PER_LINE};
 use sim_obs::MetricsRegistry;
+use sim_snap::codec::kv_lines;
 use sim_snap::{SnapError, SnapReader, SnapState, SnapWriter};
 
 /// Even parity of a PRA mask's eight bits — the redundancy bit the
@@ -218,70 +219,47 @@ impl FaultPlan {
     /// have no single offending line) still come from
     /// [`FaultPlan::validate`] without a line number.
     pub fn from_toml_str(text: &str) -> Result<Self, PlanError> {
+        let plan = Self::parse_toml(text).map_err(plan_err)?;
+        plan.validate()?;
+        Ok(plan)
+    }
+
+    fn parse_toml(text: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::disabled();
-        for (index, raw) in text.lines().enumerate() {
-            let lineno = index + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                if line == "[faults]" {
-                    continue;
-                }
-                return Err(plan_err(format!(
-                    "line {lineno}: unknown section {line:?} (only [faults] is allowed)"
-                )));
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(plan_err(format!(
-                    "line {lineno}: expected `key = value`, got {line:?}"
-                )));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            let as_u64 = |v: &str| {
-                v.parse::<u64>().map_err(|_| {
-                    plan_err(format!("line {lineno}: {key} wants an integer, got {v:?}"))
-                })
-            };
+        for kv in kv_lines(text, "[faults]") {
+            let kv = kv?;
             // Positive integer: an integer with a per-key lower bound of 1.
-            let as_u64_min1 = |v: &str| {
-                let n = as_u64(v)?;
-                if n == 0 {
-                    return Err(plan_err(format!(
-                        "line {lineno}: {key} must be at least 1, got {v}"
-                    )));
-                }
-                Ok(n)
+            let at_least_1 = || match kv.u64()? {
+                0 => Err(kv.error(format_args!(
+                    "{} must be at least 1, got {}",
+                    kv.key, kv.value
+                ))),
+                n => Ok(n),
             };
-            let as_rate = |v: &str| {
-                let rate = v.parse::<f64>().map_err(|_| {
-                    plan_err(format!("line {lineno}: {key} wants a number, got {v:?}"))
-                })?;
+            let rate = || {
+                let rate = kv.f64()?;
                 if !(0.0..=1.0).contains(&rate) {
-                    return Err(plan_err(format!(
-                        "line {lineno}: {key} must be within [0, 1], got {v}"
+                    return Err(kv.error(format_args!(
+                        "{} must be within [0, 1], got {}",
+                        kv.key, kv.value
                     )));
                 }
                 Ok(rate)
             };
-            match key {
-                "seed" => plan.seed = as_u64(value)?,
-                "mask_corrupt_rate" => plan.mask_corrupt_rate = as_rate(value)?,
-                "mask_escape_rate" => plan.mask_escape_rate = as_rate(value)?,
-                "persistent_rate" => plan.persistent_rate = as_rate(value)?,
-                "transient_burst_len" => plan.transient_burst_len = as_u64_min1(value)?,
-                "command_drop_rate" => plan.command_drop_rate = as_rate(value)?,
-                "command_stretch_rate" => plan.command_stretch_rate = as_rate(value)?,
-                "command_stretch_cycles" => plan.command_stretch_cycles = as_u64(value)?,
-                "dirty_flip_rate" => plan.dirty_flip_rate = as_rate(value)?,
-                "refresh_interval_divisor" => plan.refresh_interval_divisor = as_u64_min1(value)?,
-                other => {
-                    return Err(plan_err(format!("line {lineno}: unknown key {other:?}")));
-                }
+            match kv.key {
+                "seed" => plan.seed = kv.u64()?,
+                "mask_corrupt_rate" => plan.mask_corrupt_rate = rate()?,
+                "mask_escape_rate" => plan.mask_escape_rate = rate()?,
+                "persistent_rate" => plan.persistent_rate = rate()?,
+                "transient_burst_len" => plan.transient_burst_len = at_least_1()?,
+                "command_drop_rate" => plan.command_drop_rate = rate()?,
+                "command_stretch_rate" => plan.command_stretch_rate = rate()?,
+                "command_stretch_cycles" => plan.command_stretch_cycles = kv.u64()?,
+                "dirty_flip_rate" => plan.dirty_flip_rate = rate()?,
+                "refresh_interval_divisor" => plan.refresh_interval_divisor = at_least_1()?,
+                other => return Err(kv.error(format_args!("unknown key {other:?}"))),
             }
         }
-        plan.validate()?;
         Ok(plan)
     }
 

@@ -12,6 +12,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
+use sim_snap::codec::{json_escape, json_str, json_u64};
+
 /// How a journaled run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunStatus {
@@ -107,8 +109,8 @@ impl JournalRecord {
             self.config_digest,
             self.seed,
             self.status,
-            escape(&self.scheme),
-            escape(&self.workload),
+            json_escape(&self.scheme),
+            json_escape(&self.workload),
             self.cycles,
             self.host_nanos,
             self.energy_pj,
@@ -120,8 +122,8 @@ impl JournalRecord {
         }
         line.push_str(&format!(
             ",\"detail\":\"{}\",\"repro\":\"{}\"}}",
-            escape(&self.detail),
-            escape(&self.repro)
+            json_escape(&self.detail),
+            json_escape(&self.repro)
         ));
         line
     }
@@ -161,78 +163,6 @@ impl JournalRecord {
     pub fn key(&self) -> (u64, u64) {
         (self.config_digest, self.seed)
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Extracts the raw (still-escaped) value of a `"key":"value"` pair.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    // Scan for the closing quote, honouring backslash escapes.
-    let mut end = None;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            end = Some(i);
-            break;
-        }
-    }
-    Some(unescape(&rest[..end?]))
-}
-
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }
 
 /// A journal read back from disk.
@@ -470,6 +400,11 @@ mod tests {
                 }
             }
             let line = String::from_utf8_lossy(&mutated);
+            // The shared field reader underneath must not panic either.
+            for key in ["config", "seed", "status", "cycles", "detail", "repro"] {
+                let _ = (json_str(&line, key), json_u64(&line, key));
+                let _ = sim_snap::codec::json_bool(&line, key);
+            }
             // Must never panic; when it does parse, the numeric fields must
             // have come from real `"key":value` pairs, not from garbage.
             if let Some(r) = JournalRecord::parse(&line) {
@@ -485,6 +420,9 @@ mod tests {
         let smuggled = "{\"detail\":\"\\\"config\\\":\\\"0123456789abcdef\\\",\
                         \\\"seed\\\":9,\\\"status\\\":\\\"ok\\\"\",\"repro\":\"x\"}";
         assert!(JournalRecord::parse(smuggled).is_none());
+        assert_eq!(json_str(smuggled, "config"), None);
+        assert_eq!(json_u64(smuggled, "seed"), None);
+        assert_eq!(json_str(smuggled, "status"), None);
         // Negative, overflowing and non-numeric numbers all reject the line.
         for bad in [
             "\"seed\":-5",

@@ -40,7 +40,7 @@ mod journal;
 mod matrix;
 mod runner;
 
-pub use digest::{config_digest, fnv1a_64};
+pub use digest::config_digest;
 pub use journal::{load_journal, JournalRecord, JournalWriter, LoadedJournal, RunStatus};
 pub use matrix::{Campaign, Fixture, MatrixError, RunSpec};
 pub use runner::{

@@ -5,6 +5,8 @@ use core::fmt;
 
 use dram_sim::PagePolicy;
 use pra_core::Scheme;
+use sim_snap::codec::{kv_lines, KvLine};
+use workloads::Workload;
 
 /// Error parsing or validating a campaign matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,72 +74,6 @@ pub struct RunSpec {
     pub fixture: Fixture,
 }
 
-/// The CLI spelling of a scheme (`pra run --scheme <this>`).
-pub(crate) fn scheme_cli_name(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::Baseline => "baseline",
-        Scheme::Fga => "fga",
-        Scheme::HalfDram => "half-dram",
-        Scheme::Pra => "pra",
-        Scheme::HalfDramPra => "half-dram-pra",
-        Scheme::Dbi => "dbi",
-        Scheme::DbiPra => "dbi-pra",
-    }
-}
-
-fn parse_scheme(name: &str) -> Result<Scheme, MatrixError> {
-    match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-        "baseline" | "base" | "conventional" => Ok(Scheme::Baseline),
-        "fga" => Ok(Scheme::Fga),
-        "halfdram" | "half" => Ok(Scheme::HalfDram),
-        "pra" => Ok(Scheme::Pra),
-        "halfdrampra" | "combined" => Ok(Scheme::HalfDramPra),
-        "dbi" => Ok(Scheme::Dbi),
-        "dbipra" => Ok(Scheme::DbiPra),
-        _ => Err(matrix_err(format!(
-            "unknown scheme {name:?}; valid: baseline, fga, half-dram, pra, half-dram-pra, dbi, dbi-pra"
-        ))),
-    }
-}
-
-fn parse_policy(name: &str) -> Result<PagePolicy, MatrixError> {
-    match name.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-        "relaxed" | "relaxedclosepage" => Ok(PagePolicy::RelaxedClosePage),
-        "restricted" | "restrictedclosepage" => Ok(PagePolicy::RestrictedClosePage),
-        "open" | "openpage" => Ok(PagePolicy::OpenPage),
-        _ => Err(matrix_err(format!(
-            "unknown policy {name:?}; valid: relaxed, restricted, open"
-        ))),
-    }
-}
-
-pub(crate) fn policy_cli_name(policy: PagePolicy) -> &'static str {
-    match policy {
-        PagePolicy::RelaxedClosePage => "relaxed",
-        PagePolicy::RestrictedClosePage => "restricted",
-        PagePolicy::OpenPage => "open",
-    }
-}
-
-/// Resolves a workload name to its canonical spelling, or errors listing
-/// the valid names.
-fn canonical_workload(name: &str) -> Result<String, MatrixError> {
-    if let Some(mix) = workloads::all_mixes()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(name))
-    {
-        return Ok(mix.name.to_string());
-    }
-    if let Some(profile) = workloads::by_name(name) {
-        return Ok(profile.name.to_string());
-    }
-    let names: Vec<&str> = workloads::all_benchmarks().iter().map(|b| b.name).collect();
-    Err(matrix_err(format!(
-        "unknown workload {name:?}; valid: {} or MIX1..MIX6",
-        names.join(", ")
-    )))
-}
-
 /// A campaign description: the axes of the experiment matrix plus the knobs
 /// shared by every run. Parses from a minimal TOML subset
 /// ([`Campaign::from_toml_str`]) and expands to the full cross product
@@ -196,6 +132,12 @@ impl Campaign {
     /// [`MatrixError`] naming the offending line, unknown scheme/workload
     /// names, or a missing required axis.
     pub fn from_toml_str(text: &str) -> Result<Self, MatrixError> {
+        let campaign = Self::parse_toml(text).map_err(matrix_err)?;
+        campaign.validate()?;
+        Ok(campaign)
+    }
+
+    fn parse_toml(text: &str) -> Result<Self, String> {
         let mut schemes: Option<Vec<Scheme>> = None;
         let mut workload_names: Option<Vec<String>> = None;
         let mut seeds: Option<Vec<u64>> = None;
@@ -213,94 +155,61 @@ impl Campaign {
         let mut include_panic_fixture = false;
         let mut include_hang_fixture = false;
 
-        for (index, raw) in text.lines().enumerate() {
-            let lineno = index + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                if line == "[campaign]" {
-                    continue;
-                }
-                return Err(matrix_err(format!(
-                    "line {lineno}: unknown section {line:?} (only [campaign] is allowed)"
-                )));
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(matrix_err(format!(
-                    "line {lineno}: expected `key = value`, got {line:?}"
-                )));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            let as_u64 = |v: &str| {
-                v.parse::<u64>().map_err(|_| {
-                    matrix_err(format!("line {lineno}: {key} wants an integer, got {v:?}"))
-                })
-            };
-            let as_bool = |v: &str| match v {
-                "true" => Ok(true),
-                "false" => Ok(false),
-                _ => Err(matrix_err(format!(
-                    "line {lineno}: {key} wants true|false, got {v:?}"
-                ))),
-            };
-            match key {
+        for kv in kv_lines(text, "[campaign]") {
+            let kv = kv?;
+            match kv.key {
                 "schemes" => {
-                    let names = parse_string_array(value, key, lineno)?;
                     schemes = Some(
-                        names
-                            .iter()
-                            .map(|n| parse_scheme(n))
+                        string_items(kv)?
+                            .into_iter()
+                            .map(str::parse)
                             .collect::<Result<_, _>>()?,
                     );
                 }
                 "workloads" => {
-                    let names = parse_string_array(value, key, lineno)?;
                     workload_names = Some(
-                        names
-                            .iter()
-                            .map(|n| canonical_workload(n))
+                        string_items(kv)?
+                            .into_iter()
+                            .map(|n| n.parse::<Workload>().map(|w| w.name().to_string()))
                             .collect::<Result<_, _>>()?,
                     );
                 }
                 "seeds" => {
-                    let items = parse_raw_array(value, key, lineno)?;
-                    seeds = Some(items.iter().map(|v| as_u64(v)).collect::<Result<_, _>>()?);
+                    seeds = Some(
+                        array_items(kv)?
+                            .into_iter()
+                            .map(|value| KvLine { value, ..kv }.u64())
+                            .collect::<Result<_, _>>()?,
+                    );
                 }
-                "policy" => policy = parse_policy(value.trim_matches('"'))?,
-                "cores" => cores = as_u64(value)? as usize,
-                "instructions" => instructions = as_u64(value)?,
-                "warmup" => warmup = as_u64(value)?,
-                "watchdog_no_retire" => watchdog_no_retire = as_u64(value)?,
-                "watchdog_queue_age" => watchdog_queue_age = as_u64(value)?,
-                "determinism_sample" => determinism_sample = as_u64(value)?,
+                "policy" => policy = kv.value.trim_matches('"').parse()?,
+                "cores" => cores = kv.u64()? as usize,
+                "instructions" => instructions = kv.u64()?,
+                "warmup" => warmup = kv.u64()?,
+                "watchdog_no_retire" => watchdog_no_retire = kv.u64()?,
+                "watchdog_queue_age" => watchdog_queue_age = kv.u64()?,
+                "determinism_sample" => determinism_sample = kv.u64()?,
                 "fault_plans" => {
-                    fault_plans = parse_string_array(value, key, lineno)?;
+                    fault_plans = string_items(kv)?.into_iter().map(String::from).collect();
                 }
-                "recovery" => recovery = as_bool(value)?,
-                "checkpoint_every" => checkpoint_every = as_u64(value)?,
+                "recovery" => recovery = kv.bool()?,
+                "checkpoint_every" => checkpoint_every = kv.u64()?,
                 "checkpoint_dir" => {
-                    let dir = value.trim_matches('"');
+                    let dir = kv.value.trim_matches('"');
                     if dir.is_empty() {
-                        return Err(matrix_err(format!(
-                            "line {lineno}: checkpoint_dir wants a non-empty quoted path"
-                        )));
+                        return Err(kv.error("checkpoint_dir wants a non-empty quoted path"));
                     }
                     checkpoint_dir = Some(dir.to_string());
                 }
-                "include_panic_fixture" => include_panic_fixture = as_bool(value)?,
-                "include_hang_fixture" => include_hang_fixture = as_bool(value)?,
-                _ => {
-                    return Err(matrix_err(format!("line {lineno}: unknown key {key:?}")));
-                }
+                "include_panic_fixture" => include_panic_fixture = kv.bool()?,
+                "include_hang_fixture" => include_hang_fixture = kv.bool()?,
+                other => return Err(kv.error(format_args!("unknown key {other:?}"))),
             }
         }
-        let campaign = Campaign {
-            schemes: schemes.ok_or_else(|| matrix_err("missing required axis `schemes`"))?,
-            workloads: workload_names
-                .ok_or_else(|| matrix_err("missing required axis `workloads`"))?,
-            seeds: seeds.ok_or_else(|| matrix_err("missing required axis `seeds`"))?,
+        Ok(Campaign {
+            schemes: schemes.ok_or("missing required axis `schemes`")?,
+            workloads: workload_names.ok_or("missing required axis `workloads`")?,
+            seeds: seeds.ok_or("missing required axis `seeds`")?,
             policy,
             cores,
             instructions,
@@ -314,9 +223,7 @@ impl Campaign {
             checkpoint_dir,
             include_panic_fixture,
             include_hang_fixture,
-        };
-        campaign.validate()?;
-        Ok(campaign)
+        })
     }
 
     /// Checks the campaign for consistency.
@@ -414,36 +321,28 @@ impl Campaign {
     }
 }
 
-fn parse_raw_array(value: &str, key: &str, lineno: usize) -> Result<Vec<String>, MatrixError> {
-    let inner = value
+/// The items of a `[a, b, ...]` value, trimmed, empty items dropped.
+fn array_items(kv: KvLine<'_>) -> Result<Vec<&str>, String> {
+    let inner = kv
+        .value
         .strip_prefix('[')
         .and_then(|v| v.strip_suffix(']'))
-        .ok_or_else(|| {
-            matrix_err(format!(
-                "line {lineno}: {key} wants an array `[...]`, got {value:?}"
-            ))
-        })?;
+        .ok_or_else(|| kv.wants("an array `[...]`"))?;
     Ok(inner
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(str::to_string)
         .collect())
 }
 
-fn parse_string_array(value: &str, key: &str, lineno: usize) -> Result<Vec<String>, MatrixError> {
-    let items = parse_raw_array(value, key, lineno)?;
-    items
+/// The items of a `["a", "b", ...]` value, unquoted.
+fn string_items(kv: KvLine<'_>) -> Result<Vec<&str>, String> {
+    array_items(kv)?
         .into_iter()
         .map(|item| {
             item.strip_prefix('"')
                 .and_then(|v| v.strip_suffix('"'))
-                .map(str::to_string)
-                .ok_or_else(|| {
-                    matrix_err(format!(
-                        "line {lineno}: {key} wants quoted strings, got {item:?}"
-                    ))
-                })
+                .ok_or_else(|| KvLine { value: item, ..kv }.wants("quoted strings"))
         })
         .collect()
 }
@@ -458,9 +357,9 @@ impl RunSpec {
         }
         let mut line = format!(
             "pra run --scheme {} --workload {} --policy {} --cores {} --instructions {} --warmup {} --seed {}",
-            scheme_cli_name(self.scheme),
+            self.scheme.cli_name(),
             self.workload,
-            policy_cli_name(self.policy),
+            self.policy.cli_name(),
             self.cores,
             self.instructions,
             self.warmup,

@@ -266,16 +266,14 @@ fn run_spec(spec: &RunSpec, verify: bool) -> Result<(Report, SnapOutcome), SimEr
         .seed(spec.seed)
         .warmup_mem_ops(spec.warmup)
         .liveness_watchdog(spec.watchdog_no_retire, spec.watchdog_queue_age);
-    if let Some(mix) = workloads::all_mixes()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(&spec.workload))
-    {
-        builder = builder.name(mix.name).mix(mix.apps);
-    } else {
-        let profile = workloads::by_name(&spec.workload)
-            .unwrap_or_else(|| panic!("workload {:?} vanished after validation", spec.workload));
-        builder = builder.homogeneous(profile, spec.cores);
-    }
+    let workload: workloads::Workload = spec
+        .workload
+        .parse()
+        .unwrap_or_else(|_| panic!("workload {:?} vanished after validation", spec.workload));
+    builder = match workload {
+        workloads::Workload::Mix(mix) => builder.name(mix.name).mix(mix.apps),
+        workloads::Workload::Bench(profile) => builder.homogeneous(profile, spec.cores),
+    };
     if let Some(path) = &spec.fault_plan {
         let text = std::fs::read_to_string(path).map_err(|e| SimError::Io {
             path: PathBuf::from(path),

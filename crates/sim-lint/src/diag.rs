@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use sim_snap::codec::json_escape;
+
 /// One lint finding, pinned to a file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -37,7 +39,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Renders diagnostics as a JSON array (stable field order, no deps).
+/// Renders diagnostics as a JSON array (stable field order).
 pub fn to_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("[");
     for (i, d) in diags.iter().enumerate() {
@@ -45,10 +47,10 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
             out.push(',');
         }
         out.push_str("\n  {");
-        out.push_str(&format!("\"lint\":\"{}\",", escape(&d.lint)));
-        out.push_str(&format!("\"file\":\"{}\",", escape(&d.file)));
+        out.push_str(&format!("\"lint\":\"{}\",", json_escape(&d.lint)));
+        out.push_str(&format!("\"file\":\"{}\",", json_escape(&d.file)));
         out.push_str(&format!("\"line\":{},", d.line));
-        out.push_str(&format!("\"message\":\"{}\"", escape(&d.message)));
+        out.push_str(&format!("\"message\":\"{}\"", json_escape(&d.message)));
         out.push('}');
     }
     if !diags.is_empty() {
@@ -70,22 +72,6 @@ pub fn to_json_report(diags: &[Diagnostic]) -> String {
 
 /// Version of the `--json` report schema.
 pub const SCHEMA_VERSION: u32 = 1;
-
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,4 @@
-//! sim-lint: a zero-dependency static analyzer that enforces the PRA
+//! sim-lint: a static analyzer, free of external crates, that enforces the PRA
 //! simulator's correctness contracts at CI time.
 //!
 //! The analyzer is semantic, not just lexical: on top of a hand-rolled

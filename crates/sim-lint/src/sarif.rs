@@ -1,11 +1,13 @@
-//! Minimal SARIF 2.1.0 export, hand-rendered (no deps), for CI
+//! Minimal SARIF 2.1.0 export, hand-rendered (no external crates), for CI
 //! code-scanning annotations.
 //!
 //! Only the fields code-scanning consumers actually read are emitted: one
 //! run, a driver with one rule per lint, and one `error`-level result per
 //! diagnostic with a single physical location.
 
-use crate::diag::{escape, Diagnostic};
+use sim_snap::codec::json_escape;
+
+use crate::diag::Diagnostic;
 use crate::passes::LINT_NAMES;
 
 /// Renders diagnostics as a SARIF 2.1.0 log.
@@ -23,7 +25,7 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
         }
         out.push_str(&format!(
             "\n            {{\"id\": \"{}\", \"defaultConfiguration\": {{\"level\": \"error\"}}}}",
-            escape(rule)
+            json_escape(rule)
         ));
     }
     out.push_str("\n          ]\n        }\n      },\n      \"results\": [");
@@ -36,9 +38,9 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
              \"message\": {{\"text\": \"{}\"}},\n          \"locations\": [\n            \
              {{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
              \"region\": {{\"startLine\": {}}}}}}}\n          ]\n        }}",
-            escape(&d.lint),
-            escape(&d.message),
-            escape(&d.file),
+            json_escape(&d.lint),
+            json_escape(&d.message),
+            json_escape(&d.file),
             d.line
         ));
     }

@@ -43,6 +43,10 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+pub mod codec;
+
+use codec::fnv1a_64;
+
 /// Version of the snapshot payload schema. Bump on ANY change to what the
 /// simulation crates serialize (fields, ordering, encoding): old snapshots
 /// are then refused with [`SnapError::Schema`] instead of being
@@ -58,20 +62,6 @@ pub const SNAP_SUFFIX: &str = ".snap";
 
 const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8 + 8;
 const CHECKSUM_LEN: usize = 8;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over `bytes` — the same digest family the rest of the
-/// workspace uses for state and configuration digests.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Why a snapshot could not be produced or consumed.
 #[derive(Debug)]

@@ -211,6 +211,58 @@ pub fn all_mixes() -> Vec<Mix> {
     ]
 }
 
+/// A workload by name: one benchmark run on every core, or one of the
+/// Table 4 mixes.
+#[derive(Debug, Clone)]
+pub enum Workload {
+    /// A single-application benchmark.
+    Bench(BenchProfile),
+    /// A 4-application mix.
+    Mix(Box<Mix>),
+}
+
+impl Workload {
+    /// The canonical name (`GUPS`, `MIX3`, ...).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Workload::Bench(profile) => profile.name,
+            Workload::Mix(mix) => mix.name,
+        }
+    }
+
+    /// One application per core: `cores` copies of a benchmark, or a mix's
+    /// four applications whatever `cores` is.
+    pub fn apps(&self, cores: usize) -> Vec<BenchProfile> {
+        match self {
+            Workload::Bench(profile) => vec![*profile; cores],
+            Workload::Mix(mix) => mix.apps.to_vec(),
+        }
+    }
+}
+
+impl core::str::FromStr for Workload {
+    type Err = String;
+
+    /// Case-insensitive benchmark or mix name. The error lists the valid
+    /// names.
+    fn from_str(name: &str) -> Result<Self, String> {
+        if let Some(mix) = all_mixes()
+            .into_iter()
+            .find(|m| m.name.eq_ignore_ascii_case(name))
+        {
+            return Ok(Workload::Mix(Box::new(mix)));
+        }
+        if let Some(profile) = by_name(name) {
+            return Ok(Workload::Bench(profile));
+        }
+        let names: Vec<&str> = all_benchmarks().iter().map(|b| b.name).collect();
+        Err(format!(
+            "unknown workload {name:?}; valid: {} or MIX1..MIX6",
+            names.join(", ")
+        ))
+    }
+}
+
 /// The paper's full 14-workload evaluation set: each application run as
 /// four identical instances, plus the six mixes. Returns `(name, apps)`
 /// pairs with four profiles each.
@@ -230,6 +282,24 @@ pub fn all_workloads() -> Vec<(String, [BenchProfile; 4])> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn workload_names_resolve_case_insensitively() {
+        let gups: Workload = "gups".parse().unwrap();
+        assert_eq!(gups.name(), "GUPS");
+        assert_eq!(gups.apps(4).len(), 4);
+        let mix: Workload = "mix3".parse().unwrap();
+        assert_eq!(mix.name(), "MIX3");
+        assert_eq!(mix.apps(1).len(), 4, "mixes are always four apps");
+        let e = "dhrystone".parse::<Workload>().unwrap_err();
+        assert!(
+            e.starts_with("unknown workload \"dhrystone\"; valid: bzip2,"),
+            "{e}"
+        );
+        for (name, _) in all_workloads() {
+            assert_eq!(name.parse::<Workload>().unwrap().name(), name);
+        }
+    }
 
     #[test]
     fn all_profiles_valid() {

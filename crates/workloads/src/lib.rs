@@ -36,7 +36,7 @@ mod trace;
 
 pub use benches::{
     all_benchmarks, all_mixes, all_workloads, by_name, bzip2, em3d, gups, lbm, libquantum,
-    linked_list, mcf, omnetpp, Mix,
+    linked_list, mcf, omnetpp, Mix, Workload,
 };
 pub use generator::WorkloadGen;
 pub use profile::{AccessPattern, BenchProfile};
