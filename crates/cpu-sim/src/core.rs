@@ -7,6 +7,8 @@
 //! parallelism, and a store buffer that drains writebacks to the DRAM write
 //! queue with back-pressure.
 
+use std::collections::VecDeque;
+
 use mem_model::{PhysAddr, RequestId, WordMask};
 
 /// One event in a core's dynamic instruction stream.
@@ -139,11 +141,17 @@ pub struct CoreStats {
 pub struct Core {
     /// Configuration.
     pub config: CoreConfig,
-    /// In-flight memory operations.
-    pub outstanding: Vec<Outstanding>,
+    /// In-flight memory operations, in issue order. Private so that
+    /// `next_timed_done` cannot go stale: pushes go through
+    /// [`Core::push_outstanding`] and a restore recomputes it.
+    outstanding: Vec<Outstanding>,
+    /// A lower bound on the earliest `done_at` in `outstanding`
+    /// (`u64::MAX` when nothing is timed): until then no timed operation
+    /// can complete.
+    next_timed_done: u64,
     /// Writebacks awaiting space in the DRAM write queue:
     /// `(line, dirty mask)`.
-    pub pending_writebacks: Vec<(PhysAddr, WordMask)>,
+    pub pending_writebacks: VecDeque<(PhysAddr, WordMask)>,
     /// Non-memory instructions remaining from the current [`Op::Compute`].
     pub pending_compute: u64,
     /// An op fetched but not yet issued because a resource was full.
@@ -162,7 +170,8 @@ impl Core {
         Core {
             config,
             outstanding: Vec::new(),
-            pending_writebacks: Vec::new(),
+            next_timed_done: u64::MAX,
+            pending_writebacks: VecDeque::new(),
             pending_compute: 0,
             deferred: None,
             target,
@@ -176,12 +185,40 @@ impl Core {
         self.finished_at.is_some()
     }
 
-    /// Retires completed time-based operations and DRAM completions.
+    /// Tracks a newly issued memory operation. Operations must be pushed
+    /// in issue order: `issued_at_retired` never decreases, which is what
+    /// lets [`Core::rob_blocked`] read only the first blocking entry.
+    pub fn push_outstanding(&mut self, op: Outstanding) {
+        debug_assert!(
+            self.outstanding
+                .last()
+                .is_none_or(|last| last.issued_at_retired <= op.issued_at_retired),
+            "outstanding operations pushed out of issue order"
+        );
+        if let Some(t) = op.done_at {
+            self.next_timed_done = self.next_timed_done.min(t);
+        }
+        self.outstanding.push(op);
+    }
+
+    /// Retires time-based operations whose completion time has come.
     pub fn complete_ready(&mut self, now: u64) {
+        if now < self.next_timed_done {
+            return;
+        }
         self.outstanding.retain(|o| match o.done_at {
             Some(t) => t > now,
             None => true,
         });
+        self.next_timed_done = self.earliest_timed_done();
+    }
+
+    fn earliest_timed_done(&self) -> u64 {
+        self.outstanding
+            .iter()
+            .filter_map(|o| o.done_at)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Marks the operation with `req_id` complete.
@@ -190,14 +227,13 @@ impl Core {
     }
 
     /// The ROB gate: `true` when the window behind the oldest outstanding
-    /// blocking load is exhausted.
+    /// blocking load is exhausted. Entries sit in issue order, so the first
+    /// blocking one is the oldest.
     pub fn rob_blocked(&self) -> bool {
         self.outstanding
             .iter()
-            .filter(|o| o.blocking)
-            .map(|o| o.issued_at_retired)
-            .min()
-            .is_some_and(|oldest| self.stats.retired >= oldest + self.config.rob)
+            .find(|o| o.blocking)
+            .is_some_and(|oldest| self.stats.retired >= oldest.issued_at_retired + self.config.rob)
     }
 
     /// Outstanding blocking loads.
@@ -296,12 +332,13 @@ impl sim_snap::SnapState for Core {
                 blocking: r.bool()?,
             });
         }
+        self.next_timed_done = self.earliest_timed_done();
         let n = r.seq()?;
         self.pending_writebacks.clear();
         for _ in 0..n {
             let addr = PhysAddr::new(r.u64()?);
             let mask = WordMask::from_bits(r.u8()?);
-            self.pending_writebacks.push((addr, mask));
+            self.pending_writebacks.push_back((addr, mask));
         }
         self.pending_compute = r.u64()?;
         self.deferred = if r.bool()? { Some(load_op(r)?) } else { None };
@@ -334,7 +371,7 @@ mod tests {
             1000,
         );
         assert!(!c.rob_blocked());
-        c.outstanding.push(Outstanding {
+        c.push_outstanding(Outstanding {
             done_at: None,
             req_id: Some(1),
             issued_at_retired: 0,
@@ -359,7 +396,7 @@ mod tests {
             },
             1000,
         );
-        c.outstanding.push(Outstanding {
+        c.push_outstanding(Outstanding {
             done_at: None,
             req_id: Some(1),
             issued_at_retired: 0,
@@ -374,7 +411,7 @@ mod tests {
     #[test]
     fn timed_completions_expire() {
         let mut c = Core::new(CoreConfig::paper(), 1000);
-        c.outstanding.push(Outstanding {
+        c.push_outstanding(Outstanding {
             done_at: Some(20),
             req_id: None,
             issued_at_retired: 0,

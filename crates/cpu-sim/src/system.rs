@@ -69,6 +69,9 @@ pub struct CpuSystem {
     cpu_cycle: u64,
     next_req_id: RequestId,
     req_owner: HashMap<RequestId, usize>,
+    /// Reads the memory system completed this memory cycle; reused so the
+    /// per-cycle hand-off does not allocate.
+    completed: Vec<RequestId>,
     sink: SinkHandle,
     stall_runs: Vec<Option<StallRun>>,
 }
@@ -108,6 +111,7 @@ impl CpuSystem {
             cpu_cycle: 0,
             next_req_id: 1,
             req_owner: HashMap::new(),
+            completed: Vec::new(),
             sink: SinkHandle::disabled(),
             stall_runs,
         }
@@ -277,10 +281,11 @@ impl CpuSystem {
                 // same snapshot as the DRAM counters.
                 self.publish_cpu_metrics();
             }
-            let completed: Vec<RequestId> = self.mem.try_tick()?.to_vec();
-            for id in completed {
-                if let Some(core) = self.req_owner.remove(&id) {
-                    self.cores[core].complete_request(id);
+            self.completed.clear();
+            self.completed.extend_from_slice(self.mem.try_tick()?);
+            for id in &self.completed {
+                if let Some(core) = self.req_owner.remove(id) {
+                    self.cores[core].complete_request(*id);
                 }
             }
         }
@@ -393,12 +398,12 @@ impl CpuSystem {
         self.cores[idx].complete_ready(now);
 
         // Drain pending writebacks toward the DRAM write queue.
-        while let Some(&(addr, mask)) = self.cores[idx].pending_writebacks.first() {
+        while let Some(&(addr, mask)) = self.cores[idx].pending_writebacks.front() {
             let id = self.next_req_id;
             let req = MemRequest::write(id, addr, mask).with_core(idx);
             if self.mem.try_enqueue(req).is_ok() {
                 self.next_req_id += 1;
-                self.cores[idx].pending_writebacks.remove(0);
+                self.cores[idx].pending_writebacks.pop_front();
             } else {
                 break;
             }
@@ -467,9 +472,7 @@ impl CpuSystem {
             return false;
         }
         let access = self.hierarchy.access(idx, addr, None);
-        self.cores[idx]
-            .pending_writebacks
-            .extend(access.writebacks.clone());
+        self.cores[idx].pending_writebacks.extend(access.writebacks);
         self.issue_prefetch(idx, access.prefetch_read);
         let (l1_lat, l2_lat) = self.hierarchy.latencies();
         let _ = l1_lat; // L1 hits are fully hidden by the OoO window
@@ -480,7 +483,7 @@ impl CpuSystem {
             HitLevel::L2 => {
                 self.cores[idx].stats.loads_by_level[1] += 1;
                 let retired = self.cores[idx].stats.retired;
-                self.cores[idx].outstanding.push(crate::core::Outstanding {
+                self.cores[idx].push_outstanding(crate::core::Outstanding {
                     done_at: Some(now + l2_lat),
                     req_id: None,
                     issued_at_retired: retired,
@@ -505,7 +508,7 @@ impl CpuSystem {
                 self.req_owner.insert(id, idx);
                 self.cores[idx].stats.loads_by_level[2] += 1;
                 let retired = self.cores[idx].stats.retired;
-                self.cores[idx].outstanding.push(crate::core::Outstanding {
+                self.cores[idx].push_outstanding(crate::core::Outstanding {
                     done_at: None,
                     req_id: Some(id),
                     issued_at_retired: retired,
@@ -530,7 +533,7 @@ impl CpuSystem {
             self.next_req_id += 1;
             self.req_owner.insert(id, idx);
             let retired = self.cores[idx].stats.retired;
-            self.cores[idx].outstanding.push(crate::core::Outstanding {
+            self.cores[idx].push_outstanding(crate::core::Outstanding {
                 done_at: None,
                 req_id: Some(id),
                 issued_at_retired: retired,
@@ -555,9 +558,7 @@ impl CpuSystem {
             return false;
         }
         let access = self.hierarchy.access(idx, addr, Some(mask));
-        self.cores[idx]
-            .pending_writebacks
-            .extend(access.writebacks.clone());
+        self.cores[idx].pending_writebacks.extend(access.writebacks);
         self.issue_prefetch(idx, access.prefetch_read);
         if let Some(line) = access.fill_read {
             // Write-allocate: the line must be fetched, but the store buffer
@@ -568,7 +569,7 @@ impl CpuSystem {
                 self.next_req_id += 1;
                 self.req_owner.insert(id, idx);
                 let retired = self.cores[idx].stats.retired;
-                self.cores[idx].outstanding.push(crate::core::Outstanding {
+                self.cores[idx].push_outstanding(crate::core::Outstanding {
                     done_at: None,
                     req_id: Some(id),
                     issued_at_retired: retired,

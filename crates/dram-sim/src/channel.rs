@@ -7,12 +7,13 @@ use sim_fault::{FaultInjector, FaultSite};
 use sim_obs::TraceEvent;
 use sim_recover::{RecoveryEngine, RecoveryVerdict, RowStanding};
 
+use crate::bank::Bank;
 use crate::checker::{DramCommand, ProtocolChecker, ProtocolError};
 use crate::config::{DramConfig, PagePolicy};
 use crate::liveness::RequestTrail;
+use crate::masks::{bits, BankMasks};
 use crate::obs::DramObs;
 use crate::rank::{Rank, RefreshState};
-use crate::scheme::FULL_ROW_MATS;
 use crate::stats::DramStats;
 
 /// A queued request together with its decoded coordinates.
@@ -106,6 +107,10 @@ pub(crate) struct Channel {
     /// dropped commands are silently lost and mask faults degrade to
     /// full-row activations immediately.
     recovery: Option<RecoveryEngine>,
+    /// Open-bank, queued-work and row-hit bitmasks plus each queue's
+    /// packed targets: a cache of `ranks`, `read_q` and `write_q`, rebuilt
+    /// on restore and never serialized.
+    masks: BankMasks,
 }
 
 impl Channel {
@@ -132,6 +137,7 @@ impl Channel {
             next_col_allowed: 0,
             escalated: None,
             recovery: cfg.recovery.map(RecoveryEngine::new),
+            masks: BankMasks::new(nranks, cfg.geometry.banks_per_rank),
             checker: cfg.verify_protocol.then(|| {
                 ProtocolChecker::new(
                     cfg.timing,
@@ -252,6 +258,7 @@ impl Channel {
             enqueued_at: now,
             classified: false,
         };
+        self.masks.push(matches!(req.kind, ReqKind::Write), &loc);
         match req.kind {
             ReqKind::Read => {
                 self.read_q.push(entry);
@@ -301,27 +308,32 @@ impl Channel {
             .map_or(cfg.timing.trefi, |f| f.effective_trefi(cfg.timing.trefi));
         // 1. Housekeeping: refresh expiry, auto-precharges, data completions.
         let fsm_prof = sim_prof::span!("dram.bank_fsm");
-        for (r, rank) in self.ranks.iter_mut().enumerate() {
+        for rank in &mut self.ranks {
             rank.finish_refresh_if_done(now);
             rank.update_refresh_due(now, trefi);
-            for (b, bank) in rank.banks.iter_mut().enumerate() {
-                if bank.tick_auto_precharge(now, &cfg.timing) {
-                    stats.precharges += 1;
-                    o.obs.emit(|| TraceEvent::Precharge {
-                        cycle: now,
-                        channel: ch,
-                        rank: r as u8,
-                        bank: b as u8,
-                    });
-                    Self::verify_cmd(
-                        &mut self.checker,
-                        now,
-                        DramCommand::Precharge {
-                            rank: r as u32,
-                            bank: b as u32,
-                        },
-                    )?;
-                }
+        }
+        // Only an open bank can carry a pending auto-precharge (activate and
+        // precharge both clear it), so visiting the open banks in (rank,
+        // bank) order fires the same precharges in the same order.
+        for flat in bits(self.masks.open()) {
+            let (r, b) = self.masks.split(flat);
+            if self.ranks[r].banks[b].tick_auto_precharge(now, &cfg.timing) {
+                self.masks.set_closed(r as u32, b as u32);
+                stats.precharges += 1;
+                o.obs.emit(|| TraceEvent::Precharge {
+                    cycle: now,
+                    channel: ch,
+                    rank: r as u8,
+                    bank: b as u8,
+                });
+                Self::verify_cmd(
+                    &mut self.checker,
+                    now,
+                    DramCommand::Precharge {
+                        rank: r as u32,
+                        bank: b as u32,
+                    },
+                )?;
             }
         }
         self.complete_transfers(now, stats, o, completed);
@@ -364,11 +376,13 @@ impl Channel {
         //    rank index so per-rank residency ledgers line up across
         //    channels.
         let rank_base = self.ranks.len() * self.index as usize;
+        let open = self.masks.open();
         for (r, rank) in self.ranks.iter_mut().enumerate() {
-            let state = rank.tick_power_state();
+            let open_banks = self.masks.rank_field(open, r);
+            let state = rank.tick_power_state(open_banks != 0);
             energy.background_cycle(rank_base + r, state);
             if o.power_telemetry {
-                energy.bank_residency(rank_base + r, rank.open_bank_mask());
+                energy.bank_residency(rank_base + r, open_banks);
             }
         }
         if now < self.bus.busy_until {
@@ -410,10 +424,7 @@ impl Channel {
 
     /// Whether any queued request targets rank `r`.
     fn rank_has_queued_work(&self, r: usize) -> bool {
-        self.read_q
-            .iter()
-            .chain(self.write_q.iter())
-            .any(|e| e.loc.rank as usize == r)
+        self.masks.any_queued() & self.masks.rank_bits(r) != 0
     }
 
     /// Whether outstanding refresh debt must forcibly close rank `r` now
@@ -478,6 +489,7 @@ impl Channel {
                 for (b, bank) in rank.banks.iter_mut().enumerate() {
                     if bank.is_open() && now >= bank.ready_for_precharge_at {
                         bank.precharge(now, &cfg.timing);
+                        self.masks.set_closed(r as u32, b as u32);
                         stats.precharges += 1;
                         o.obs.emit(|| TraceEvent::Precharge {
                             cycle: now,
@@ -608,7 +620,10 @@ impl Channel {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one scheduler step threads the channel's shared cycle state through"
+    )]
     fn issue_column_from(
         &mut self,
         now: u64,
@@ -622,6 +637,23 @@ impl Channel {
         if now < self.next_col_allowed {
             return Ok(false);
         }
+        let (dir, lat) = if is_write {
+            (Dir::Write, cfg.timing.wl)
+        } else {
+            (Dir::Read, cfg.timing.tcas)
+        };
+        // Banks that could take a column command at all: open, with work in
+        // this queue on the open row, on an available rank whose data burst
+        // would find the bus free, past tRCD.
+        let bus = &self.bus;
+        let ready = self.banks_where(self.masks.hits(is_write), |r, rank, bank| {
+            now >= rank.available_at
+                && now + lat >= bus.earliest_start(dir, r, cfg.timing.twtr, cfg.timing.trtrs)
+                && now >= bank.ready_for_column_at
+        });
+        if ready == 0 {
+            return Ok(false);
+        }
         let burst = cfg
             .timing
             .burst_cycles
@@ -632,18 +664,15 @@ impl Channel {
             &self.read_q
         };
         let mut chosen: Option<usize> = None;
-        for (i, entry) in queue.iter().enumerate() {
+        for i in self.masks.entries_in(is_write, ready) {
+            let entry = &queue[i];
             if let Some(rec) = &self.recovery {
                 // The bank is parked inside a replay hold-off window.
                 if rec.is_blocked(now, entry.loc.rank, entry.loc.bank) {
                     continue;
                 }
             }
-            let rank = &self.ranks[entry.loc.rank as usize];
-            if now < rank.available_at {
-                continue;
-            }
-            let bank = &rank.banks[entry.loc.bank as usize];
+            let bank = &self.ranks[entry.loc.rank as usize].banks[entry.loc.bank as usize];
             let Some(open) = bank.open else { continue };
             if open.row != entry.loc.row {
                 continue;
@@ -672,22 +701,6 @@ impl Channel {
                 {
                     continue;
                 }
-            }
-            if now < bank.ready_for_column_at {
-                continue;
-            }
-            let (dir, lat) = if is_write {
-                (Dir::Write, cfg.timing.wl)
-            } else {
-                (Dir::Read, cfg.timing.tcas)
-            };
-            let start = now + lat;
-            if start
-                < self
-                    .bus
-                    .earliest_start(dir, entry.loc.rank, cfg.timing.twtr, cfg.timing.trtrs)
-            {
-                continue;
             }
             chosen = Some(i);
             break;
@@ -718,6 +731,7 @@ impl Channel {
         } else {
             self.read_q.remove(i)
         };
+        self.masks.remove(is_write, i);
         let rank_idx = entry.loc.rank as usize;
         let bank = &mut self.ranks[rank_idx].banks[entry.loc.bank as usize];
         if !entry.classified {
@@ -790,16 +804,12 @@ impl Channel {
     /// The PRA mask for activating `loc.row`: the OR of all queued same-row
     /// write masks, widened to full if any queued read also wants the row.
     fn gather_write_mask(&self, loc: &Location) -> WordMask {
-        let same_row = |e: &&QueueEntry| {
-            e.loc.rank == loc.rank && e.loc.bank == loc.bank && e.loc.row == loc.row
-        };
-        if self.read_q.iter().find(same_row).is_some() {
+        if self.masks.entries_on_row(false, loc).next().is_some() {
             return WordMask::FULL;
         }
-        self.write_q
-            .iter()
-            .filter(same_row)
-            .fold(WordMask::EMPTY, |m, e| m | e.req.mask)
+        self.masks
+            .entries_on_row(true, loc)
+            .fold(WordMask::EMPTY, |m, i| m | self.write_q[i].req.mask)
     }
 
     /// FR-FCFS step two: activate for the oldest request whose bank is closed.
@@ -813,13 +823,32 @@ impl Channel {
         faults: &mut Option<FaultInjector>,
     ) -> Result<bool, ProtocolError> {
         let is_write = self.active_is_write();
+        // Banks that could take an activate at all: closed, with work in the
+        // active queue, on a refresh-idle, unforced rank past its
+        // availability and tRRD fences, and past tRP.
+        let mut ranks_ready = 0;
+        for (r, rank) in self.ranks.iter().enumerate() {
+            if matches!(rank.refresh, RefreshState::Idle)
+                && now >= rank.available_at
+                && now >= rank.next_act_allowed_at
+                && !self.refresh_forced(r, cfg)
+            {
+                ranks_ready |= self.masks.rank_bits(r);
+            }
+        }
+        let closed = self.masks.queued(is_write) & !self.masks.open() & ranks_ready;
+        let ready = self.banks_where(closed, |_, _, bank| now >= bank.ready_for_activate_at);
+        if ready == 0 {
+            return Ok(false);
+        }
         let queue = if is_write {
             &self.write_q
         } else {
             &self.read_q
         };
         let mut chosen: Option<(usize, WordMask, u32)> = None;
-        for (i, entry) in queue.iter().enumerate() {
+        for i in self.masks.entries_in(is_write, ready) {
+            let entry = &queue[i];
             if let Some(rec) = &self.recovery {
                 // The bank is parked inside a replay hold-off window.
                 if rec.is_blocked(now, entry.loc.rank, entry.loc.bank) {
@@ -827,16 +856,6 @@ impl Channel {
                 }
             }
             let rank = &self.ranks[entry.loc.rank as usize];
-            if !matches!(rank.refresh, RefreshState::Idle)
-                || now < rank.available_at
-                || self.refresh_forced(entry.loc.rank as usize, cfg)
-            {
-                continue;
-            }
-            let bank = &rank.banks[entry.loc.bank as usize];
-            if bank.is_open() || now < bank.ready_for_activate_at {
-                continue;
-            }
             let (coverage, mats) = if is_write {
                 let mask = self.gather_write_mask(&entry.loc);
                 debug_assert!(!mask.is_empty());
@@ -1020,6 +1039,7 @@ impl Channel {
         let weight = cfg.scheme.act_timing_weight(mats);
         let rank = &mut self.ranks[loc.rank as usize];
         rank.banks[loc.bank as usize].activate(now, loc.row, coverage, mats, extra, &cfg.timing);
+        self.masks.set_open(loc.rank, loc.bank, loc.row);
         rank.record_activation(now, weight, cfg.scheme.relaxed_act_timing, &cfg.timing);
         stats.record_activation(mats, !is_write);
         energy.activation_mats(mats);
@@ -1061,22 +1081,25 @@ impl Channel {
         o: &mut DramObs,
     ) -> Result<bool, ProtocolError> {
         let is_write = self.active_is_write();
+        // Banks that could take a precharge at all: open, with work in the
+        // active queue, on an available rank, past tRAS/tWR/tRTP.
+        let ready = self.banks_where(
+            self.masks.open() & self.masks.queued(is_write),
+            |_, rank, bank| now >= rank.available_at && now >= bank.ready_for_precharge_at,
+        );
+        if ready == 0 {
+            return Ok(false);
+        }
         let queue = if is_write {
             &self.write_q
         } else {
             &self.read_q
         };
         let mut chosen: Option<(usize, bool, bool)> = None; // (idx, false_hit, capped)
-        for (i, entry) in queue.iter().enumerate() {
-            let rank = &self.ranks[entry.loc.rank as usize];
-            if now < rank.available_at {
-                continue;
-            }
-            let bank = &rank.banks[entry.loc.bank as usize];
+        for i in self.masks.entries_in(is_write, ready) {
+            let entry = &queue[i];
+            let bank = &self.ranks[entry.loc.rank as usize].banks[entry.loc.bank as usize];
             let Some(open) = bank.open else { continue };
-            if now < bank.ready_for_precharge_at {
-                continue;
-            }
             if open.row != entry.loc.row {
                 chosen = Some((i, false, open.hits_served >= cfg.row_hit_cap));
                 break;
@@ -1116,6 +1139,7 @@ impl Channel {
         }
         let loc = entry.loc;
         self.ranks[loc.rank as usize].banks[loc.bank as usize].precharge(now, &cfg.timing);
+        self.masks.set_closed(loc.rank, loc.bank);
         stats.precharges += 1;
         if capped {
             stats.hit_cap_precharges += 1;
@@ -1150,73 +1174,74 @@ impl Channel {
             return Ok(false);
         }
         let ch = self.index;
-        for (r, rank) in self.ranks.iter_mut().enumerate() {
-            if now < rank.available_at {
+        // Open banks in (rank, bank) order whose open row no queued entry
+        // wants.
+        for flat in bits(self.masks.open() & !self.masks.any_hits()) {
+            let (r, b) = self.masks.split(flat);
+            let rank = &mut self.ranks[r];
+            if now < rank.available_at || now < rank.banks[b].ready_for_precharge_at {
                 continue;
             }
-            for (b, bank) in rank.banks.iter_mut().enumerate() {
-                let Some(open) = bank.open else { continue };
-                if now < bank.ready_for_precharge_at {
-                    continue;
-                }
-                let wanted = self.read_q.iter().chain(self.write_q.iter()).any(|e| {
-                    e.loc.rank as usize == r && e.loc.bank as usize == b && e.loc.row == open.row
-                });
-                if !wanted {
-                    bank.precharge(now, &cfg.timing);
-                    stats.precharges += 1;
-                    o.obs.emit(|| TraceEvent::Precharge {
-                        cycle: now,
-                        channel: ch,
-                        rank: r as u8,
-                        bank: b as u8,
-                    });
-                    Self::verify_cmd(
-                        &mut self.checker,
-                        now,
-                        DramCommand::Precharge {
-                            rank: r as u32,
-                            bank: b as u32,
-                        },
-                    )?;
-                    return Ok(true);
-                }
-            }
+            rank.banks[b].precharge(now, &cfg.timing);
+            self.masks.set_closed(r as u32, b as u32);
+            stats.precharges += 1;
+            o.obs.emit(|| TraceEvent::Precharge {
+                cycle: now,
+                channel: ch,
+                rank: r as u8,
+                bank: b as u8,
+            });
+            Self::verify_cmd(
+                &mut self.checker,
+                now,
+                DramCommand::Precharge {
+                    rank: r as u32,
+                    bank: b as u32,
+                },
+            )?;
+            return Ok(true);
         }
         Ok(false)
     }
 
     fn enter_power_down_where_idle(&mut self, now: u64, o: &mut DramObs) {
         let ch = self.index;
+        // A rank with an open bank or queued work stays up.
+        let busy = self.masks.open() | self.masks.any_queued();
         for (r, rank) in self.ranks.iter_mut().enumerate() {
             if rank.powered_down
-                || rank.any_bank_open()
+                || busy & self.masks.rank_bits(r) != 0
                 || !matches!(rank.refresh, RefreshState::Idle)
                 || rank.refresh_debt > 0
             {
                 continue;
             }
-            let busy = self
-                .read_q
-                .iter()
-                .chain(self.write_q.iter())
-                .any(|e| e.loc.rank as usize == r);
-            if !busy {
-                rank.enter_power_down();
-                o.obs.emit(|| TraceEvent::PowerDown {
-                    cycle: now,
-                    channel: ch,
-                    rank: r as u8,
-                });
-            }
+            rank.enter_power_down();
+            o.obs.emit(|| TraceEvent::PowerDown {
+                cycle: now,
+                channel: ch,
+                rank: r as u8,
+            });
         }
     }
 
-    /// Largest possible activation the current scheme can request, used by
-    /// assertions in tests.
-    #[allow(dead_code)]
-    pub(crate) fn max_mats() -> u32 {
-        FULL_ROW_MATS
+    /// The banks of `candidates` whose rank index, rank and bank state
+    /// satisfy `keep`.
+    fn banks_where(&self, candidates: u64, keep: impl Fn(u32, &Rank, &Bank) -> bool) -> u64 {
+        bits(candidates)
+            .filter(|&flat| {
+                let (r, b) = self.masks.split(flat);
+                let rank = &self.ranks[r];
+                keep(r as u32, rank, &rank.banks[b])
+            })
+            .fold(0, |mask, flat| mask | 1 << flat)
+    }
+
+    /// Whether the bitmasks equal a fresh rebuild from the queues and banks
+    /// they cache.
+    #[cfg(test)]
+    pub(crate) fn masks_consistent(&self) -> bool {
+        self.masks == BankMasks::rebuild(&self.ranks, &self.read_q, &self.write_q)
     }
 }
 
@@ -1305,7 +1330,8 @@ impl sim_snap::SnapState for Channel {
         }
         w.u64(self.next_col_allowed);
         // `escalated` is recomputed at the start of every tick before any
-        // scheduling decision reads it, so it is not serialized.
+        // scheduling decision reads it, and `masks` is rebuilt on load from
+        // the ranks and queues, so neither is serialized.
         w.bool(self.checker.is_some());
         if let Some(checker) = &self.checker {
             checker.snap_save(w);
@@ -1370,6 +1396,7 @@ impl sim_snap::SnapState for Channel {
         self.bus.last_rank = if r.bool()? { Some(r.u32()?) } else { None };
         self.next_col_allowed = r.u64()?;
         self.escalated = None;
+        self.masks = BankMasks::rebuild(&self.ranks, &self.read_q, &self.write_q);
         let has_checker = r.bool()?;
         if has_checker != self.checker.is_some() {
             return Err(sim_snap::SnapError::Decode(format!(

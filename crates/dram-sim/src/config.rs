@@ -2,10 +2,11 @@
 
 use core::fmt;
 
-use dram_power::PowerParams;
+use dram_power::{PowerParams, MAX_BANKS};
 use mem_model::{AddressMapping, DramGeometry};
 
 use crate::liveness::LivenessConfig;
+use crate::masks::MAX_CHANNEL_BANKS;
 use crate::scheme::SchemeBehavior;
 use crate::timing::{TimingError, TimingParams};
 use sim_recover::RecoveryConfig;
@@ -17,6 +18,16 @@ use sim_recover::RecoveryConfig;
 pub enum ConfigError {
     /// DRAM geometry is inconsistent (see [`mem_model::GeometryError`]).
     Geometry(String),
+    /// A bank-count knob exceeds what the controller's per-rank (`u16`)
+    /// or per-channel (`u64`) bank bitmasks can hold.
+    BankLimit {
+        /// The offending knob.
+        knob: &'static str,
+        /// Its configured value.
+        value: usize,
+        /// The largest supported value.
+        max: usize,
+    },
     /// Timing parameters are inconsistent.
     Timing(TimingError),
     /// Queue capacities or watermarks are inconsistent.
@@ -33,6 +44,9 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::Geometry(msg) => write!(f, "geometry: {msg}"),
+            ConfigError::BankLimit { knob, value, max } => {
+                write!(f, "geometry: {knob} is {value}, at most {max} supported")
+            }
             ConfigError::Timing(err) => write!(f, "timing: {err}"),
             ConfigError::Queues(msg) => write!(f, "queues: {msg}"),
             ConfigError::RowHitCap => {
@@ -298,6 +312,22 @@ impl DramConfig {
         self.geometry
             .validate()
             .map_err(|e| ConfigError::Geometry(e.to_string()))?;
+        let banks = self.geometry.banks_per_rank;
+        if banks > MAX_BANKS {
+            return Err(ConfigError::BankLimit {
+                knob: "banks_per_rank",
+                value: banks,
+                max: MAX_BANKS,
+            });
+        }
+        let channel_banks = self.geometry.ranks_per_channel.saturating_mul(banks);
+        if channel_banks > MAX_CHANNEL_BANKS {
+            return Err(ConfigError::BankLimit {
+                knob: "ranks_per_channel x banks_per_rank",
+                value: channel_banks,
+                max: MAX_CHANNEL_BANKS,
+            });
+        }
         self.timing.validate().map_err(ConfigError::Timing)?;
         self.queues.validate()?;
         if self.row_hit_cap < 1 {
@@ -454,6 +484,43 @@ mod tests {
         let err = cfg.validate().unwrap_err();
         assert!(matches!(err, ConfigError::Geometry(_)));
         assert!(err.to_string().contains("rank"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_more_than_16_banks_per_rank() {
+        let mut cfg = DramConfig::default();
+        cfg.geometry.banks_per_rank = 32;
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::BankLimit {
+                knob: "banks_per_rank",
+                value: 32,
+                max: 16
+            }
+        );
+        assert!(err.to_string().contains("banks_per_rank is 32"), "{err}");
+        cfg.geometry.banks_per_rank = 16;
+        cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_more_than_64_banks_per_channel() {
+        let mut cfg = DramConfig::default();
+        cfg.geometry.banks_per_rank = 16;
+        cfg.geometry.ranks_per_channel = 8;
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::BankLimit {
+                knob: "ranks_per_channel x banks_per_rank",
+                value: 128,
+                max: 64
+            }
+        );
+        assert!(err.to_string().contains("ranks_per_channel"), "{err}");
+        cfg.geometry.ranks_per_channel = 4;
+        cfg.validate().unwrap();
     }
 
     #[test]

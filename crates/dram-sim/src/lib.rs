@@ -44,6 +44,7 @@ mod channel;
 mod checker;
 mod config;
 mod liveness;
+mod masks;
 mod memory_system;
 mod obs;
 mod rank;

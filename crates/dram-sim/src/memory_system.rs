@@ -1285,6 +1285,105 @@ mod tests {
         );
     }
 
+    /// One cycle of dense pseudo-random traffic: reads and partial writes
+    /// over every channel, rank, bank and a few rows, enough to fill the
+    /// write queue past its drain watermark.
+    fn feed_random(mem: &mut MemorySystem, rng: &mut u64, id: &mut u64) {
+        for _ in 0..2 {
+            *rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let x = *rng >> 16;
+            let g = mem.config().geometry;
+            let l = Location {
+                channel: (x % g.channels as u64) as u32,
+                rank: ((x >> 4) % g.ranks_per_channel as u64) as u32,
+                bank: ((x >> 8) % g.banks_per_rank as u64) as u32,
+                row: ((x >> 12) % 6) as u32,
+                column: ((x >> 16) % 64) as u32,
+            };
+            let a = mem.config().mapping.encode(l, &g);
+            *id += 1;
+            let req = if (x >> 24) % 5 < 2 {
+                MemRequest::write(*id, a, WordMask::from_bits(((x >> 28) as u8) | 1))
+            } else {
+                MemRequest::read(*id, a)
+            };
+            let _ = mem.try_enqueue(req);
+        }
+    }
+
+    fn masks_consistent(mem: &MemorySystem) -> bool {
+        mem.channels.iter().all(Channel::masks_consistent)
+    }
+
+    #[test]
+    fn bank_masks_match_a_rebuild_after_every_tick() {
+        use sim_fault::{Domain, FaultPlan};
+        use sim_snap::SnapState;
+        let chaos = FaultPlan::from_toml_str(include_str!("../../../docs/faults/chaos.toml"))
+            .expect("chaos plan parses");
+        let schemes = [
+            SchemeBehavior::baseline(),
+            SchemeBehavior::fga_half(),
+            SchemeBehavior::half_dram(),
+            SchemeBehavior::pra(),
+            SchemeBehavior::half_dram_pra(),
+        ];
+        let mut configs = Vec::new();
+        for policy in PagePolicy::ALL {
+            for scheme in schemes {
+                for faulted in [false, true] {
+                    configs.push((DramConfig::paper_baseline(policy, scheme), faulted));
+                }
+            }
+            // 16 banks per rank: the widest rank slice of the masks.
+            configs.push((DramConfig::ddr4_2400(policy, SchemeBehavior::pra()), true));
+        }
+        for (mut cfg, faulted) in configs {
+            let build = |cfg: &DramConfig| {
+                let mut mem = MemorySystem::new(cfg.clone());
+                if faulted {
+                    mem.set_fault_injector(chaos.injector(Domain::Dram));
+                }
+                mem
+            };
+            if faulted {
+                cfg.recovery = Some(sim_recover::RecoveryConfig::default());
+            }
+            let label = format!("{:?} {:?} faulted={faulted}", cfg.policy, cfg.scheme);
+            let mut live = build(&cfg);
+            let (mut rng, mut id) = (7u64, 0u64);
+            // Long enough for every rank to owe a refresh, which forces its
+            // open banks closed.
+            for _ in 0..8_000 {
+                feed_random(&mut live, &mut rng, &mut id);
+                live.tick();
+                assert!(masks_consistent(&live), "{label}: cycle {}", live.cycle());
+            }
+            assert!(
+                live.stats().activations > 0 && live.pending() > 0,
+                "{label}"
+            );
+
+            let mut w = sim_snap::SnapWriter::new();
+            live.snap_save(&mut w);
+            let bytes = w.into_bytes();
+            let mut fresh = build(&cfg);
+            let mut r = sim_snap::SnapReader::new(&bytes);
+            fresh.snap_load(&mut r).unwrap();
+            assert!(masks_consistent(&fresh), "{label}: after restore");
+            let (mut rng2, mut id2) = (rng, id);
+            for _ in 0..500 {
+                feed_random(&mut live, &mut rng, &mut id);
+                feed_random(&mut fresh, &mut rng2, &mut id2);
+                let a = live.tick().to_vec();
+                assert_eq!(a, fresh.tick(), "{label}: cycle {}", live.cycle());
+                assert!(masks_consistent(&fresh), "{label}: cycle {}", fresh.cycle());
+            }
+        }
+    }
+
     #[test]
     fn power_breakdown_totals_positive_under_load() {
         let mut mem = system(PagePolicy::RelaxedClosePage, SchemeBehavior::baseline());

@@ -68,22 +68,6 @@ impl Rank {
         }
     }
 
-    /// `true` if any bank holds an open row.
-    pub fn any_bank_open(&self) -> bool {
-        self.banks.iter().any(Bank::is_open)
-    }
-
-    /// Bitmask of banks holding an open row (bit `b` = bank `b` open).
-    /// Supported geometries top out at 16 banks per rank, so `u16` covers
-    /// every bank.
-    pub fn open_bank_mask(&self) -> u16 {
-        self.banks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.is_open())
-            .fold(0u16, |mask, (i, _)| mask | (1 << i))
-    }
-
     /// Checks whether an activation of the given weight may issue at `now`
     /// under tRRD and tFAW.
     pub fn can_activate(&self, now: u64, weight: f64, t: &TimingParams) -> bool {
@@ -119,20 +103,23 @@ impl Rank {
         }
     }
 
-    /// Current background power state.
-    pub fn power_state(&self) -> RankPowerState {
+    /// Current background power state; `any_bank_open` says whether any
+    /// of the rank's banks holds an open row (the channel tracks that in
+    /// its open-bank mask).
+    pub fn power_state(&self, any_bank_open: bool) -> RankPowerState {
         if self.powered_down {
             RankPowerState::PowerDown
-        } else if self.any_bank_open() || matches!(self.refresh, RefreshState::InProgress { .. }) {
+        } else if any_bank_open || matches!(self.refresh, RefreshState::InProgress { .. }) {
             RankPowerState::ActiveStandby
         } else {
             RankPowerState::PrechargeStandby
         }
     }
 
-    /// Accounts one cycle in the current power state.
-    pub fn tick_power_state(&mut self) -> RankPowerState {
-        let s = self.power_state();
+    /// Accounts one cycle in the current power state (see
+    /// [`Rank::power_state`]).
+    pub fn tick_power_state(&mut self, any_bank_open: bool) -> RankPowerState {
+        let s = self.power_state(any_bank_open);
         let idx = match s {
             RankPowerState::ActiveStandby => 0,
             RankPowerState::PrechargeStandby => 1,
@@ -144,7 +131,7 @@ impl Rank {
 
     /// Enters precharge power-down. The caller guarantees the rank is idle.
     pub fn enter_power_down(&mut self) {
-        debug_assert!(!self.any_bank_open());
+        debug_assert!(!self.banks.iter().any(Bank::is_open));
         debug_assert!(matches!(self.refresh, RefreshState::Idle));
         self.powered_down = true;
     }
@@ -322,15 +309,16 @@ mod tests {
     #[test]
     fn power_states() {
         let mut r = rank();
-        assert_eq!(r.power_state(), RankPowerState::PrechargeStandby);
-        r.banks[0].activate(0, 1, mem_model::WordMask::FULL, 16, 0, &t());
-        assert_eq!(r.power_state(), RankPowerState::ActiveStandby);
-        r.banks[0].precharge(28, &t());
+        assert_eq!(r.power_state(false), RankPowerState::PrechargeStandby);
+        assert_eq!(r.power_state(true), RankPowerState::ActiveStandby);
         r.enter_power_down();
-        assert_eq!(r.power_state(), RankPowerState::PowerDown);
+        assert_eq!(r.power_state(false), RankPowerState::PowerDown);
         r.exit_power_down(100, &t());
         assert_eq!(r.available_at, 103, "tXP exit latency");
-        assert_eq!(r.power_state(), RankPowerState::PrechargeStandby);
+        assert_eq!(r.power_state(false), RankPowerState::PrechargeStandby);
+        r.update_refresh_due(1000, t().trefi);
+        r.start_refresh(1000, &t());
+        assert_eq!(r.power_state(false), RankPowerState::ActiveStandby);
     }
 
     #[test]
@@ -366,19 +354,13 @@ mod tests {
     #[test]
     fn state_cycle_accounting() {
         let mut r = rank();
-        r.tick_power_state();
-        r.tick_power_state();
-        assert_eq!(r.state_cycles[1], 2, "two precharge-standby cycles");
-    }
-
-    #[test]
-    fn open_bank_mask_tracks_open_rows() {
-        let mut r = rank();
-        assert_eq!(r.open_bank_mask(), 0);
-        r.banks[0].activate(0, 1, mem_model::WordMask::FULL, 16, 0, &t());
-        r.banks[5].activate(0, 2, mem_model::WordMask::FULL, 16, 0, &t());
-        assert_eq!(r.open_bank_mask(), 0b10_0001);
-        r.banks[0].precharge(28, &t());
-        assert_eq!(r.open_bank_mask(), 0b10_0000);
+        r.tick_power_state(false);
+        r.tick_power_state(false);
+        r.tick_power_state(true);
+        assert_eq!(
+            r.state_cycles,
+            [1, 2, 0],
+            "one active, two precharge-standby"
+        );
     }
 }
