@@ -10,7 +10,6 @@
 //! cargo run -p bench --release --bin fig12 -- 100000   # quicker
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chart;

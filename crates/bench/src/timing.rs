@@ -21,6 +21,10 @@ pub fn bench<T>(name: &str, elements: u64, warmup: u32, iters: u32, mut f: impl 
     }
     let mut ns: Vec<u128> = (0..iters)
         .map(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the bench harness measures host time by design; it never drives simulator state"
+            )]
             let start = Instant::now();
             black_box(f());
             start.elapsed().as_nanos()

@@ -45,16 +45,13 @@ impl CacheConfig {
     /// Panics if the capacity is not a whole power-of-two number of sets of
     /// whole lines.
     pub fn assert_valid(&self) {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics contract — construction-time config validation, runs once before simulation
         assert!(self.ways > 0, "cache needs at least one way");
         let lines = self.size_bytes / LINE_BYTES as usize;
-        // sim-lint: allow(no-panic-hot-path): documented # Panics contract — construction-time config validation, runs once before simulation
         assert!(
             lines * LINE_BYTES as usize == self.size_bytes,
             "capacity must be a whole number of lines"
         );
         let sets = self.sets();
-        // sim-lint: allow(no-panic-hot-path): documented # Panics contract — construction-time config validation, runs once before simulation
         assert!(
             sets > 0 && sets.is_power_of_two(),
             "set count {sets} must be a power of two"

@@ -203,7 +203,6 @@ impl CacheHierarchy {
         geometry: DramGeometry,
         mapping: AddressMapping,
     ) -> Self {
-        // sim-lint: allow(no-panic-hot-path): constructor argument contract, runs once before simulation
         assert!(config.cores > 0, "need at least one core");
         CacheHierarchy {
             l1s: (0..config.cores).map(|_| Cache::new(config.l1)).collect(),
@@ -290,7 +289,6 @@ impl CacheHierarchy {
         let _prof = sim_prof::span!("cache.access");
         let a = addr.line_aligned();
         if let Some(mask) = store {
-            // sim-lint: allow(no-panic-hot-path): documented # Panics contract — an empty store mask is a caller bug, not a workload property
             assert!(!mask.is_empty(), "a store must dirty at least one word");
         }
         let mut writebacks = Vec::new();

@@ -2,7 +2,6 @@
 //! run/compare/trace/list subcommands. Lives in a library so the logic is
 //! unit-testable; `main.rs` is a thin shim.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;

@@ -1,5 +1,4 @@
 //! The `pra` binary: thin shim over [`pra_cli::dispatch`].
-#![forbid(unsafe_code)]
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

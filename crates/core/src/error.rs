@@ -14,9 +14,9 @@ pub enum SimError {
     Config(dram_sim::ConfigError),
     /// The fault plan is inconsistent.
     FaultPlan(sim_fault::PlanError),
-    /// An output file (trace or metrics) could not be created.
+    /// An output file (trace or metrics) could not be created or written.
     Io {
-        /// Path that failed to open.
+        /// Path that failed.
         path: PathBuf,
         /// Underlying I/O error.
         source: std::io::Error,
@@ -65,7 +65,7 @@ impl fmt::Display for SimError {
             SimError::Config(e) => write!(f, "invalid DRAM configuration: {e}"),
             SimError::FaultPlan(e) => write!(f, "{e}"),
             SimError::Io { path, source } => {
-                write!(f, "cannot create {}: {source}", path.display())
+                write!(f, "cannot create or write {}: {source}", path.display())
             }
             SimError::Nondeterministic { first, second } => write!(
                 f,

@@ -128,6 +128,10 @@ impl Runner {
     /// Panics if the report does not come from a 4-core run matching
     /// `apps`, or an alone run produced a zero IPC (both are driver bugs:
     /// the runner itself produced the inputs).
+    #[expect(
+        clippy::expect_used,
+        reason = "the alone vector is built one entry per app of this report, so the lengths match by construction"
+    )]
     pub fn weighted_speedup(
         &mut self,
         report: &Report,
@@ -141,7 +145,6 @@ impl Runner {
             .collect();
         report
             .weighted_speedup(&alone)
-            // sim-lint: allow(no-panic-hot-path): the alone vector is built one entry per app of this report two lines up, so the lengths match by construction
             .expect("alone-IPC runs were produced for this very report")
     }
 }

@@ -39,7 +39,6 @@ impl MaskTransfer {
     /// Panics if `bit` is not a valid mask bit index.
     #[must_use]
     pub fn with_flipped_bit(self, bit: u8) -> Self {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics argument contract for fault-injection callers
         assert!((bit as usize) < WORDS_PER_LINE, "bit {bit} out of range");
         MaskTransfer {
             bits: self.bits ^ (1 << bit),
@@ -165,7 +164,6 @@ impl PraChip {
     ///
     /// Panics if `banks == 0`.
     pub fn new(banks: usize) -> Self {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics constructor contract, runs once before simulation
         assert!(banks > 0, "a chip needs at least one bank");
         PraChip {
             latches: vec![PraLatch::new(); banks],
@@ -199,12 +197,10 @@ impl PraChip {
     /// Panics if `bank` is out of range, or if a partial activation carries
     /// an empty mask (the memory controller never issues one).
     pub fn activate(&mut self, bank: usize, pin: PraPin, mask: WordMask) -> ChipActivation {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics contract — an out-of-range bank is a controller bug, not a workload property
         assert!(bank < self.latches.len(), "bank {bank} out of range");
         let effective = if self.ecc_strapped || pin == PraPin::FullActivation {
             WordMask::FULL
         } else {
-            // sim-lint: allow(no-panic-hot-path): documented # Panics contract — the controller never issues an empty-mask partial ACT
             assert!(
                 !mask.is_empty(),
                 "partial activation requires a non-empty mask"
@@ -270,7 +266,6 @@ impl PraChip {
     /// Whether a write burst's word `word` would reach sense amplifiers
     /// (data heading to unselected MATs is "don't care", Section 4.1.3).
     pub fn word_lands(&self, bank: usize, word: u8) -> bool {
-        // sim-lint: allow(no-panic-hot-path): word index argument contract; callers iterate 0..WORDS_PER_LINE
         assert!((word as usize) < WORDS_PER_LINE);
         self.latches[bank].mask().is_some_and(|m| m.contains(word))
     }

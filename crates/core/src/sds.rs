@@ -45,12 +45,10 @@ impl ValueWidthDist {
     /// Panics if probabilities are invalid.
     pub fn assert_valid(&self) {
         let sum: f64 = self.p.iter().sum();
-        // sim-lint: allow(no-panic-hot-path): documented # Panics contract — distribution validation before a Monte-Carlo run, not per-cycle
         assert!(
             (sum - 1.0).abs() < 1e-9,
             "value width distribution sums to {sum}"
         );
-        // sim-lint: allow(no-panic-hot-path): documented # Panics contract — distribution validation before a Monte-Carlo run, not per-cycle
         assert!(self.p.iter().all(|&x| (0.0..=1.0).contains(&x)));
     }
 
@@ -152,11 +150,9 @@ pub fn compare_coverage(
     samples: u64,
     seed: u64,
 ) -> CoverageComparison {
-    // sim-lint: allow(no-panic-hot-path): argument validation at the head of a Monte-Carlo experiment, runs once
     assert!(samples > 0, "need at least one sample");
     widths.assert_valid();
     let sum: f64 = dirty_words_dist.iter().sum();
-    // sim-lint: allow(no-panic-hot-path): argument validation at the head of a Monte-Carlo experiment, runs once
     assert!(
         (sum - 1.0).abs() < 1e-9,
         "dirty-word distribution sums to {sum}"

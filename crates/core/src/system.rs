@@ -160,7 +160,6 @@ impl SimBuilder {
     ///
     /// Panics if the trace is empty.
     pub fn app_trace(mut self, name: impl Into<String>, trace: Trace) -> Self {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics builder contract, runs once before simulation
         assert!(!trace.is_empty(), "cannot drive a core with an empty trace");
         self.apps.push(AppSpec::Trace {
             name: name.into(),
@@ -472,11 +471,14 @@ impl SimBuilder {
     ///
     /// Panics if no applications were added, the configuration or fault
     /// plan is inconsistent, a requested trace or metrics output file
-    /// cannot be created, or the measured phase is too short to span one
-    /// memory cycle ([`SimError::NoElapsedTime`]). Use
+    /// cannot be created or written, or the measured phase is too short
+    /// to span one memory cycle ([`SimError::NoElapsedTime`]). Use
     /// [`SimBuilder::try_run`] to handle these as [`SimError`]s instead.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking facade; try_run is the fallible API"
+    )]
     pub fn run(&self) -> Report {
-        // sim-lint: allow(no-panic-hot-path): documented panicking facade; try_run is the fallible API
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -508,8 +510,9 @@ impl SimBuilder {
     /// [`SimError::NoApplications`] when no applications were added,
     /// [`SimError::Config`]/[`SimError::FaultPlan`] on inconsistent inputs,
     /// [`SimError::Io`] when a trace or metrics output file cannot be
-    /// created, and [`SimError::NoElapsedTime`] when the measured phase
-    /// ends before one memory cycle (a handful of instructions per core).
+    /// created or written, and [`SimError::NoElapsedTime`] when the
+    /// measured phase ends before one memory cycle (a handful of
+    /// instructions per core).
     pub fn try_run(&self) -> Result<Report, SimError> {
         self.try_run_snap().map(|(report, _)| report)
     }
@@ -630,6 +633,8 @@ impl SimBuilder {
             generators,
             self.instructions,
         );
+        // Kept so write failures during the run surface after it.
+        let mut trace_file = None;
         if let Some(path) = &self.trace_out {
             let sink = sim_obs::JsonlSink::create(path).map_err(|e| SimError::Io {
                 path: path.clone(),
@@ -644,7 +649,8 @@ impl SimBuilder {
             system
                 .hierarchy_mut()
                 .set_trace_sink(Box::new(std::rc::Rc::clone(&shared)));
-            system.set_trace_sink(Box::new(shared));
+            system.set_trace_sink(Box::new(std::rc::Rc::clone(&shared)));
+            trace_file = Some((path, shared));
         } else if let Some(ring) = &self.trace_ring {
             system
                 .mem_mut()
@@ -729,6 +735,23 @@ impl SimBuilder {
             let reg = &mut system.mem_mut().observer_mut().registry;
             let id = reg.counter("trace.dropped_events");
             reg.set_counter(id, dropped);
+        }
+        if let Some((path, sink)) = &trace_file {
+            let mut sink = sink.borrow_mut();
+            sim_obs::TraceSink::flush(&mut *sink);
+            if let Some(source) = sink.take_error() {
+                return Err(SimError::Io {
+                    path: path.to_path_buf(),
+                    source,
+                });
+            }
+        }
+        let metrics_error = system.mem_mut().observer_mut().take_metrics_error();
+        if let (Some(path), Some(source)) = (&self.metrics_out, metrics_error) {
+            return Err(SimError::Io {
+                path: path.clone(),
+                source,
+            });
         }
 
         if system.mem().elapsed_ns() <= 0.0 {
@@ -1037,6 +1060,34 @@ mod tests {
         assert_eq!(delta_sum, r.dram.activations);
         let _ = std::fs::remove_file(&trace);
         let _ = std::fs::remove_file(&metrics);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn trace_and_metrics_write_failures_are_errors() {
+        // /dev/full opens fine and fails every write with ENOSPC.
+        let base = || {
+            SimBuilder::new()
+                .app(workloads::gups())
+                .scheme(Scheme::Pra)
+                .instructions(3_000)
+                .warmup_mem_ops(1_000)
+        };
+        for (what, builder) in [
+            ("trace", base().trace_out("/dev/full")),
+            (
+                "metrics",
+                base().metrics_out("/dev/full").metrics_epoch(1_000),
+            ),
+        ] {
+            match builder.try_run() {
+                Err(SimError::Io { path, source }) => {
+                    assert_eq!(path, PathBuf::from("/dev/full"), "{what}");
+                    assert_eq!(source.kind(), std::io::ErrorKind::StorageFull, "{what}");
+                }
+                other => panic!("{what} to /dev/full: expected SimError::Io, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -117,11 +117,14 @@ pub fn render(events: &[TimingEvent]) -> String {
 
 /// Cycle of the first `label` event. `write_timeline` emits WR, data and
 /// PRE events unconditionally, so a miss here is a construction bug.
+#[expect(
+    clippy::panic,
+    reason = "write_timeline emits every label this is called with; absence is a construction bug worth aborting on"
+)]
 fn cycle_of(timeline: &[TimingEvent], label: &str) -> u64 {
     timeline
         .iter()
         .find(|e| e.label == label)
-        // sim-lint: allow(no-panic-hot-path): write_timeline emits every label this is called with; absence is a construction bug worth aborting on
         .unwrap_or_else(|| panic!("timeline is missing a {label} event"))
         .cycle
 }

@@ -42,7 +42,19 @@
 //! assert!(out.per_core[0].ipc() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 mod core;

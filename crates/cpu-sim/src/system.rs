@@ -90,9 +90,7 @@ impl CpuSystem {
         sources: Vec<Box<dyn InstructionSource>>,
         instructions_per_core: u64,
     ) -> Self {
-        // sim-lint: allow(no-panic-hot-path): constructor argument contract, runs once before simulation
         assert!(!sources.is_empty(), "need at least one instruction source");
-        // sim-lint: allow(no-panic-hot-path): constructor argument contract, runs once before simulation
         assert_eq!(
             sources.len(),
             hierarchy.config().cores,
@@ -163,9 +161,12 @@ impl CpuSystem {
     ///
     /// Panics on a DRAM protocol or liveness violation; use
     /// [`Self::try_run`] to observe it as an error instead.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking facade; try_run is the fallible API"
+    )]
     pub fn run(&mut self, max_cpu_cycles: u64) -> RunOutcome {
         self.try_run(max_cpu_cycles)
-            // sim-lint: allow(no-panic-hot-path): documented panicking facade; try_run is the fallible API
             .unwrap_or_else(|e| panic!("DRAM {e}"))
     }
 
@@ -491,9 +492,12 @@ impl CpuSystem {
                 });
             }
             HitLevel::Memory => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "CacheHierarchy::access always populates fill_read for HitLevel::Memory outcomes"
+                )]
                 let line = access
                     .fill_read
-                    // sim-lint: allow(no-panic-hot-path): CacheHierarchy::access always populates fill_read for HitLevel::Memory outcomes
                     .expect("memory-level access carries a fill");
                 let id = self.next_req_id;
                 let req = MemRequest::read(id, line).with_core(idx);

@@ -37,7 +37,6 @@
 //! assert!(breakdown.act_pre > 0.0 && breakdown.total() > breakdown.act_pre);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod accounting;

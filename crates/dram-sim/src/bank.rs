@@ -91,7 +91,11 @@ impl Bank {
     /// data burst completes.
     pub fn column_read(&mut self, now: u64, burst_cycles: u64, t: &TimingParams) -> u64 {
         debug_assert!(now >= self.ready_for_column_at);
-        // sim-lint: allow(no-panic-hot-path): the scheduler selects only open banks and the protocol checker independently rejects columns to closed banks
+        #[expect(
+            clippy::expect_used,
+            reason = "the scheduler selects only open banks and the protocol checker independently rejects columns to closed banks"
+        )]
+        // sim-lint: allow(panic-reachability): the scheduler selects only open banks and the protocol checker independently rejects columns to closed banks
         let open = self.open.as_mut().expect("column to a closed bank");
         open.hits_served += 1;
         let done = now.saturating_add(t.tcas).saturating_add(burst_cycles);
@@ -103,7 +107,11 @@ impl Bank {
     /// data burst completes on the bus.
     pub fn column_write(&mut self, now: u64, burst_cycles: u64, t: &TimingParams) -> u64 {
         debug_assert!(now >= self.ready_for_column_at);
-        // sim-lint: allow(no-panic-hot-path): the scheduler selects only open banks and the protocol checker independently rejects columns to closed banks
+        #[expect(
+            clippy::expect_used,
+            reason = "the scheduler selects only open banks and the protocol checker independently rejects columns to closed banks"
+        )]
+        // sim-lint: allow(panic-reachability): the scheduler selects only open banks and the protocol checker independently rejects columns to closed banks
         let open = self.open.as_mut().expect("column to a closed bank");
         open.hits_served += 1;
         let burst_end = now.saturating_add(t.wl).saturating_add(burst_cycles);

@@ -191,9 +191,12 @@ impl QueueConfig {
     /// # Panics
     ///
     /// Panics with the [`ConfigError`] message on any inconsistency.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking facade over validate(), runs once before simulation"
+    )]
     pub fn assert_valid(&self) {
         if let Err(e) = self.validate() {
-            // sim-lint: allow(no-panic-hot-path): documented panicking facade over validate(), runs once before simulation
             panic!("{e}");
         }
     }
@@ -373,9 +376,12 @@ impl DramConfig {
     /// # Panics
     ///
     /// Panics with the [`ConfigError`] message on any inconsistency.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking facade over validate(), runs once before simulation"
+    )]
     pub fn assert_valid(&self) {
         if let Err(e) = self.validate() {
-            // sim-lint: allow(no-panic-hot-path): documented panicking facade over validate(), runs once before simulation
             panic!("invalid DRAM configuration: {e}");
         }
     }

@@ -4,8 +4,8 @@
 //! a scheduler bug (or a hostile fault plan) can leave the memory system
 //! ticking forever without retiring a single request. The watchdogs here are
 //! pure functions of the memory-cycle counter and queue state — no wall
-//! clock, so seeded runs stay bit-reproducible and the sim-lint
-//! `forbid-wallclock` pass stays clean.
+//! clock, so seeded runs stay bit-reproducible (clippy's
+//! `disallowed_methods` forbids host clock reads here).
 //!
 //! Two independent bounds, both measured in memory cycles and both disabled
 //! when zero:

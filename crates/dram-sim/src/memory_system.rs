@@ -80,8 +80,11 @@ impl MemorySystem {
     ///
     /// Panics if the configuration is inconsistent; use
     /// [`MemorySystem::try_new`] to handle the error instead.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking facade; try_new is the fallible API"
+    )]
     pub fn new(config: DramConfig) -> Self {
-        // sim-lint: allow(no-panic-hot-path): documented panicking facade; try_new is the fallible API
         Self::try_new(config).unwrap_or_else(|e| panic!("invalid DRAM configuration: {e}"))
     }
 
@@ -408,10 +411,12 @@ impl MemorySystem {
     ///
     /// Panics if the protocol checker rejects a scheduled command; use
     /// [`Self::try_tick`] to observe the violation as an error instead.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking facade; a checker rejection is a simulator bug and try_tick is the fallible API"
+    )]
     pub fn tick(&mut self) -> &[RequestId] {
-        self.try_tick()
-            // sim-lint: allow(no-panic-hot-path): documented panicking facade; a checker rejection is a simulator bug and try_tick is the fallible API
-            .unwrap_or_else(|e| panic!("DRAM {e}"))
+        self.try_tick().unwrap_or_else(|e| panic!("DRAM {e}"))
     }
 
     /// Cycle-domain liveness watchdogs (see [`crate::liveness`]). Called

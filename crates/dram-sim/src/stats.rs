@@ -115,7 +115,7 @@ impl DramStats {
     ///
     /// Panics if `mats` is outside `1..=16`.
     pub fn record_activation(&mut self, mats: u32, for_read: bool) {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics contract — the protocol checker independently rejects out-of-range mats
+        // sim-lint: allow(panic-reachability): documented # Panics contract — the protocol checker independently rejects out-of-range mats
         assert!(
             (1..=FULL_ROW_MATS).contains(&mats),
             "mats {mats} out of range"

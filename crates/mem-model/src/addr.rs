@@ -66,11 +66,14 @@ impl PhysAddr {
     ///
     /// Panics on overflow of the underlying 64-bit address space, which would
     /// indicate a bug in a workload generator.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract — u64 address overflow means a broken workload generator, not a recoverable state"
+    )]
     pub fn offset(self, bytes: u64) -> Self {
         PhysAddr(
             self.0
                 .checked_add(bytes)
-                // sim-lint: allow(no-panic-hot-path): documented contract — u64 address overflow means a broken workload generator, not a recoverable state
                 .expect("physical address overflow"),
         )
     }

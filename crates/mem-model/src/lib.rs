@@ -30,7 +30,19 @@
 //! assert_eq!(format!("{mask}"), "10000001b");
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 mod addr;

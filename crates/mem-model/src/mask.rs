@@ -57,7 +57,6 @@ impl WordMask {
     ///
     /// Panics if `word >= 8`.
     pub fn single(word: u8) -> Self {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics argument contract on a value-constructor
         assert!(
             (word as usize) < WORDS_PER_LINE,
             "word index {word} out of range"
@@ -82,7 +81,6 @@ impl WordMask {
     ///
     /// Panics if `n > 8`.
     pub fn first_n(n: usize) -> Self {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics argument contract on a value-constructor
         assert!(
             n <= WORDS_PER_LINE,
             "cannot select {n} of {WORDS_PER_LINE} words"
@@ -134,7 +132,6 @@ impl WordMask {
     ///
     /// Panics if `word >= 8`.
     pub fn contains(self, word: u8) -> bool {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics argument contract; word indices come from 0..WORDS_PER_LINE loops
         assert!(
             (word as usize) < WORDS_PER_LINE,
             "word index {word} out of range"

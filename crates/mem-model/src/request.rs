@@ -90,7 +90,6 @@ impl MemRequest {
     /// Panics if `mask` is empty: a writeback with no dirty words is a cache
     /// bookkeeping bug, not a valid request.
     pub fn write(id: RequestId, addr: PhysAddr, mask: WordMask) -> Self {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics contract — an empty writeback mask is a cache bookkeeping bug
         assert!(
             !mask.is_empty(),
             "write request must carry at least one dirty word"

@@ -108,7 +108,7 @@ impl Rng {
     /// Panics if `n == 0`.
     #[inline]
     pub fn bounded_u64(&mut self, n: u64) -> u64 {
-        // sim-lint: allow(no-panic-hot-path): documented # Panics argument contract; a zero bound has no defensible fallback
+        // sim-lint: allow(panic-reachability): documented # Panics argument contract; a zero bound has no defensible fallback
         assert!(n > 0, "empty range");
         let mut m = u128::from(self.next_u64()) * u128::from(n);
         let mut lo = m as u64;
@@ -156,7 +156,6 @@ macro_rules! impl_range_sample {
         impl RangeSample for $t {
             #[inline]
             fn sample(rng: &mut Rng, range: Range<Self>) -> Self {
-                // sim-lint: allow(no-panic-hot-path): documented # Panics argument contract; an empty range has no defensible fallback
                 assert!(range.start < range.end, "empty range");
                 let span = (range.end as u64).wrapping_sub(range.start as u64);
                 range.start + rng.bounded_u64(span) as $t

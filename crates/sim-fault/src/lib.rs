@@ -45,7 +45,6 @@
 //! assert_eq!(a.corrupt_mask(mask), b.corrupt_mask(mask));
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use core::fmt;

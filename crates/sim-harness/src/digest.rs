@@ -4,9 +4,9 @@
 //! covers every field of a [`RunSpec`] *except* the seed, so one matrix row
 //! shares a digest across its seed axis and a resumed campaign can tell
 //! exactly which (row, seed) pairs already ran. Everything here must stay a
-//! pure function of the spec — this module is held to the strict
-//! `forbid-wallclock` lint even though the rest of the crate (timing the
-//! campaign) is exempt.
+//! pure function of the spec — clippy's `disallowed_methods` keeps host
+//! clock reads out; only the runner's two campaign timers carry an
+//! `#[expect]` for it.
 
 use crate::matrix::{Fixture, RunSpec};
 

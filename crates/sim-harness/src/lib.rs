@@ -32,7 +32,6 @@
 //! The `pra campaign run|resume|report` subcommands are thin wrappers over
 //! [`run_campaign`] and [`load_journal`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod digest;

@@ -400,6 +400,10 @@ fn execute_spec(spec: &RunSpec, verify: bool) -> (JournalRecord, bool) {
         detail: String::new(),
         repro: spec.repro_line(),
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the host time of one run is journaled as host_nanos and never fed into simulator state"
+    )]
     let started = Instant::now();
     let before = newest_checkpoint_cycle(spec);
     let outcome = catch_unwind(AssertUnwindSafe(|| run_spec(spec, verify)));
@@ -533,6 +537,10 @@ pub fn run_campaign(
         .metrics
         .add(journal_skipped_id, loaded.dropped_lines as u64);
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "campaign wall time is reported to the user, never fed into simulator state"
+    )]
     let started = Instant::now();
     let pending = todo.len();
     let queue = Mutex::new(todo.into_iter().collect::<VecDeque<_>>());

@@ -17,8 +17,8 @@
 //!
 //! Ambiguous method names on opaque receivers produce **no** edge: the
 //! graph under-approximates rather than fabricate chains, so every
-//! reported call chain is real. The lexical `no-panic-hot-path` pass
-//! backstops the under-approximation inside the hot crates. Calls inside
+//! reported call chain is real. Clippy's per-site panic lints backstop the
+//! under-approximation inside the hot crates. Calls inside
 //! closures fall within their enclosing function's body range and are
 //! attributed to it, which is exactly the attribution the reachability
 //! passes want.
@@ -36,8 +36,6 @@ pub struct CallSite {
     pub caller: usize,
     /// Index of the called function in `ItemIndex::fns`.
     pub callee: usize,
-    /// Token index of the callee name at the call site.
-    pub name_tok: usize,
     /// 1-based line of the call.
     pub line: u32,
 }
@@ -71,7 +69,7 @@ impl CallGraph {
                     && toks.get(i + 1).map(|n| n.is_punct('(')).unwrap_or(false)
                 {
                     for callee in resolve_call(idx, f, &locals, toks, i) {
-                        g.add(caller_id, callee, i, t.line);
+                        g.add(caller_id, callee, t.line);
                     }
                 }
                 i += 1;
@@ -80,11 +78,10 @@ impl CallGraph {
         g
     }
 
-    fn add(&mut self, caller: usize, callee: usize, name_tok: usize, line: u32) {
+    fn add(&mut self, caller: usize, callee: usize, line: u32) {
         self.sites.push(CallSite {
             caller,
             callee,
-            name_tok,
             line,
         });
         let list = self.callees.entry(caller).or_default();

@@ -7,7 +7,7 @@ use sim_snap::codec::json_escape;
 /// One lint finding, pinned to a file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Name of the lint that produced it (`no-panic-hot-path`, …).
+    /// Name of the lint that produced it (`panic-reachability`, …).
     pub lint: String,
     /// Workspace-relative path.
     pub file: String,
@@ -80,14 +80,14 @@ mod tests {
     #[test]
     fn human_rendering() {
         let d = Diagnostic::new(
-            "no-panic-hot-path",
+            "panic-reachability",
             "crates/x/src/a.rs",
             7,
             "call to `unwrap`",
         );
         assert_eq!(
             d.to_string(),
-            "error[no-panic-hot-path]: crates/x/src/a.rs:7: call to `unwrap`"
+            "error[panic-reachability]: crates/x/src/a.rs:7: call to `unwrap`"
         );
     }
 

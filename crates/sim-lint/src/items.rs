@@ -3,8 +3,7 @@
 //!
 //! The index records every `fn` (free functions, inherent and trait-impl
 //! methods, trait default methods) with its module path, enclosing type,
-//! parameter types, whether it returns a `Result`, and the token range of
-//! its body — enough for the call-graph builder and the interprocedural
+//! parameter types, and the token range of its body — enough for the call-graph builder and the interprocedural
 //! passes to work without ever type-checking. It also records trait
 //! definitions (for trait-object dispatch), which types implement which
 //! traits, and per-file `use` renames (so a call through
@@ -55,8 +54,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// Parameter names and types, `self` excluded.
     pub params: Vec<(String, Option<ParamTy>)>,
-    /// Whether the declared return type mentions `Result`.
-    pub returns_result: bool,
     /// Whether the item sits inside test-only code.
     pub is_test: bool,
 }
@@ -331,7 +328,6 @@ impl Parser<'_> {
         // Return type: tokens between `->` and the body `{`, a `;`, or a
         // `where` clause.
         let mut k = params_close + 1;
-        let mut returns_result = false;
         if k + 1 < end && toks[k].is_punct('-') && toks[k + 1].is_punct('>') {
             k += 2;
             let mut angle = 0i32;
@@ -341,7 +337,6 @@ impl Parser<'_> {
                     TokKind::Punct('>') => angle -= 1,
                     TokKind::Punct('{') | TokKind::Punct(';') if angle <= 0 => break,
                     TokKind::Ident if toks[k].text == "where" && angle <= 0 => break,
-                    TokKind::Ident if toks[k].text == "Result" => returns_result = true,
                     _ => {}
                 }
                 k += 1;
@@ -376,7 +371,6 @@ impl Parser<'_> {
             line: toks[fn_kw].line,
             body,
             params,
-            returns_result,
             is_test: self.file.test_mask.get(fn_kw).copied().unwrap_or(false),
         });
         next
@@ -780,21 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn returns_result_is_detected_through_paths_and_generics() {
-        let idx = index(
-            "fn a() -> Result<u64, Error> { Ok(1) }\n\
-             fn b() -> std::result::Result<(), E> { Ok(()) }\n\
-             fn c() -> u64 { 1 }\n\
-             fn d() -> Option<Result<u8, E>> { None }\n",
-        );
-        let by_name = |n: &str| idx.fns.iter().find(|f| f.name == n).unwrap();
-        assert!(by_name("a").returns_result);
-        assert!(by_name("b").returns_result);
-        assert!(!by_name("c").returns_result);
-        assert!(by_name("d").returns_result);
-    }
-
-    #[test]
     fn inline_mod_extends_the_module_path() {
         let idx = index("mod inner {\n    pub fn deep() {}\n}\nfn outer() {}\n");
         let deep = idx.fns.iter().find(|f| f.name == "deep").unwrap();
@@ -852,7 +831,6 @@ mod tests {
         assert!(idx.fns.iter().any(|f| f.name == "cap"));
         let pick = idx.fns.iter().find(|f| f.name == "pick").unwrap();
         assert_eq!(pick.params.len(), 2);
-        assert!(!pick.returns_result);
     }
 
     #[test]

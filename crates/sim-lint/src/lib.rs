@@ -1,17 +1,19 @@
-//! sim-lint: a static analyzer, free of external crates, that enforces the PRA
-//! simulator's correctness contracts at CI time.
+//! sim-lint: a static analyzer, free of external crates, that enforces the
+//! PRA simulator's correctness contracts that rustc and clippy cannot
+//! express.
 //!
-//! The analyzer is semantic, not just lexical: on top of a hand-rolled
-//! lexer (see [`lexer`] — raw strings, char literals and nested block
-//! comments are handled, so text never masquerades as code) it builds a
-//! workspace-wide [item index](items) of every `fn`/`impl`/`trait` with
-//! module paths, and a [conservative call graph](callgraph) (direct calls,
-//! method calls resolved by receiver-type heuristics, closures attributed
-//! to their enclosing function). The passes:
+//! Everything the toolchain can check lives in the workspace lint table
+//! (root `Cargo.toml`, `clippy.toml` and the hot crates' `cfg_attr(not(test),
+//! deny(clippy::…))` roots): `unsafe`, wall-clock reads, lexical panics in
+//! the hot crates and discarded `Result`s. This crate keeps the rest. On
+//! top of a hand-rolled lexer (see [`lexer`] — raw strings, char literals
+//! and nested block comments are handled, so text never masquerades as
+//! code) it builds a workspace-wide [item index](items) of every
+//! `fn`/`impl`/`trait` with module paths, and a [conservative call
+//! graph](callgraph) (direct calls, method calls resolved by receiver-type
+//! heuristics, closures attributed to their enclosing function). The
+//! passes:
 //!
-//! * `no-panic-hot-path` — no `unwrap`/`expect`/`panic!`/`unreachable!`/
-//!   runtime asserts in non-test code of the simulator hot-path crates
-//!   (lexical, per-site).
 //! * `panic-reachability` — no panicking construct transitively reachable
 //!   from the hot-loop entry points (`Channel::tick`,
 //!   `MemorySystem::try_tick`, the bank FSM); diagnostics carry the full
@@ -20,16 +22,9 @@
 //!   scheduler and the independent protocol checker.
 //! * `metric-registry` — every emitted metric / trace-event name follows
 //!   the naming convention and matches the `docs/metrics.md` manifest.
-//! * `forbid-wallclock-and-unsafe` — no wall-clock reads, ambient
-//!   randomness or `unsafe` in deterministic sim crates, and every crate
-//!   root declares `#![forbid(unsafe_code)]`.
-//! * `discarded-result` — no `let _ =`, `.ok();` or bare-statement drops
-//!   of `Result`s returned by workspace sim APIs.
 //! * `cycle-arith` — no unchecked `+`/`*` on cycle/deadline/epoch-named
 //!   values in the hot crates; event-jump arithmetic must saturate or
 //!   check.
-//! * `dead-pragma` — a suppression that no longer suppresses anything is
-//!   itself an error.
 //!
 //! All passes are deny-by-default. Site-level exemptions use
 //!
@@ -37,11 +32,9 @@
 //! // sim-lint: allow(lint-name): reason this is sound
 //! ```
 //!
-//! on (or directly above) the offending line; the reason is mandatory and
-//! ill-formed pragmas are themselves diagnosed by the always-on `pragma`
-//! meta lint, which cannot be suppressed.
-
-#![forbid(unsafe_code)]
+//! on (or directly above) the offending line. The always-on `pragma` meta
+//! lint, which cannot be suppressed, reports a pragma with no reason, one
+//! naming an unknown lint, and one that suppresses nothing.
 
 pub mod callgraph;
 pub mod diag;
@@ -85,8 +78,9 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
 }
 
 /// Runs every pass over an already-loaded workspace, applies pragma
-/// suppression, runs the `dead-pragma` phase over the pre-suppression
-/// results, and appends `pragma` meta-diagnostics.
+/// suppression, and appends `pragma` meta-diagnostics: ill-formed pragmas,
+/// unknown lint names, and pragmas that cover no raw diagnostic of a lint
+/// they name.
 pub fn lint_sources(ws: &Workspace) -> Vec<Diagnostic> {
     let analysis = Analysis::new(ws);
     let mut raw = Vec::new();
@@ -94,10 +88,43 @@ pub fn lint_sources(ws: &Workspace) -> Vec<Diagnostic> {
         pass.run(&analysis, &mut raw);
     }
 
-    // Dead-pragma runs on the PRE-suppression diagnostics: a pragma is
-    // alive exactly when it covers at least one raw diagnostic of a lint
-    // it names. Its output manages its own (allow(dead-pragma)) exemptions.
-    let dead = passes::dead_pragma::run(ws, &raw);
+    let mut meta = Vec::new();
+    for file in &ws.files {
+        for err in &file.pragma_errors {
+            meta.push(Diagnostic::new(
+                "pragma",
+                &file.rel_path,
+                err.line,
+                err.message.clone(),
+            ));
+        }
+        for pragma in &file.pragmas {
+            for lint in &pragma.lints {
+                let message = if !passes::LINT_NAMES.contains(&lint.as_str()) {
+                    format!(
+                        "pragma references unknown lint `{lint}` (known lints: {})",
+                        passes::LINT_NAMES.join(", ")
+                    )
+                } else if !raw
+                    .iter()
+                    .any(|d| d.lint == *lint && d.file == file.rel_path && pragma.covers(d.line))
+                {
+                    format!(
+                        "pragma `allow({lint})` suppresses nothing — the violation it \
+                         excused is gone; remove the pragma"
+                    )
+                } else {
+                    continue;
+                };
+                meta.push(Diagnostic::new(
+                    "pragma",
+                    &file.rel_path,
+                    pragma.line,
+                    message,
+                ));
+            }
+        }
+    }
 
     let mut out: Vec<Diagnostic> = raw
         .into_iter()
@@ -107,34 +134,7 @@ pub fn lint_sources(ws: &Workspace) -> Vec<Diagnostic> {
                 .any(|f| f.rel_path == d.file && f.suppresses(&d.lint, d.line))
         })
         .collect();
-    out.extend(dead);
-
-    for file in &ws.files {
-        for err in &file.pragma_errors {
-            out.push(Diagnostic::new(
-                "pragma",
-                &file.rel_path,
-                err.line,
-                err.message.clone(),
-            ));
-        }
-        for pragma in &file.pragmas {
-            for lint in &pragma.lints {
-                if !passes::LINT_NAMES.contains(&lint.as_str()) {
-                    out.push(Diagnostic::new(
-                        "pragma",
-                        &file.rel_path,
-                        pragma.line,
-                        format!(
-                            "pragma references unknown lint `{lint}` (known lints: {})",
-                            passes::LINT_NAMES.join(", ")
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
+    out.extend(meta);
     out.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.lint.as_str()).cmp(&(b.file.as_str(), b.line, b.lint.as_str()))
     });
@@ -159,8 +159,8 @@ mod tests {
         let w = ws_one(
             "dram-sim",
             "crates/dram-sim/src/x.rs",
-            "fn f() {\n    // sim-lint: allow(no-panic-hot-path): index bounded by ctor\n    \
-             a.unwrap();\n}\n",
+            "fn f(cycle: u64) -> u64 {\n    // sim-lint: allow(cycle-arith): bounded by ctor\n    \
+             cycle + 1\n}\n",
         );
         assert!(lint_sources(&w).is_empty());
     }
@@ -170,7 +170,7 @@ mod tests {
         let w = ws_one(
             "dram-sim",
             "crates/dram-sim/src/x.rs",
-            "fn f() {\n    a.unwrap(); // sim-lint: allow(no-panic-hot-path): bounded\n}\n",
+            "fn f(cycle: u64) -> u64 {\n    cycle + 1 // sim-lint: allow(cycle-arith): bounded\n}\n",
         );
         assert!(lint_sources(&w).is_empty());
     }
@@ -180,12 +180,12 @@ mod tests {
         let w = ws_one(
             "dram-sim",
             "crates/dram-sim/src/x.rs",
-            "fn f() {\n    // sim-lint: allow(no-panic-hot-path)\n    a.unwrap();\n}\n",
+            "fn f(cycle: u64) -> u64 {\n    // sim-lint: allow(cycle-arith)\n    cycle + 1\n}\n",
         );
         let d = lint_sources(&w);
-        // The unwrap is NOT suppressed and the pragma itself is diagnosed.
+        // The addition is NOT suppressed and the pragma itself is diagnosed.
         assert_eq!(d.len(), 2);
-        assert!(d.iter().any(|d| d.lint == "no-panic-hot-path"));
+        assert!(d.iter().any(|d| d.lint == "cycle-arith"));
         assert!(d
             .iter()
             .any(|d| d.lint == "pragma" && d.message.contains("no reason")));
@@ -205,18 +205,39 @@ mod tests {
     }
 
     #[test]
+    fn retired_lint_names_are_unknown() {
+        // These checks moved to rustc and clippy; a pragma naming one
+        // would suppress nothing, so it is rejected outright.
+        for lint in [
+            "no-panic-hot-path",
+            "forbid-wallclock-and-unsafe",
+            "discarded-result",
+            "dead-pragma",
+        ] {
+            let src = format!("// sim-lint: allow({lint}): legacy\nfn f() {{}}\n");
+            let d = lint_sources(&ws_one("dram-sim", "crates/dram-sim/src/x.rs", &src));
+            assert_eq!(d.len(), 1, "{d:?}");
+            assert_eq!(d[0].lint, "pragma");
+            assert!(d[0].message.contains("unknown lint"), "{}", d[0].message);
+        }
+    }
+
+    #[test]
     fn pragma_for_wrong_lint_does_not_suppress() {
         let w = ws_one(
             "dram-sim",
             "crates/dram-sim/src/x.rs",
-            "fn f() {\n    // sim-lint: allow(metric-registry): wrong lint\n    a.unwrap();\n}\n",
+            "fn f(cycle: u64) -> u64 {\n    // sim-lint: allow(metric-registry): wrong lint\n    \
+             cycle + 1\n}\n",
         );
         let d = lint_sources(&w);
-        // The unwrap is not suppressed, and the mistargeted pragma is
-        // additionally reported as dead.
+        // The addition is not suppressed, and the mistargeted pragma is
+        // additionally reported as stale.
         assert_eq!(d.len(), 2);
-        assert!(d.iter().any(|d| d.lint == "no-panic-hot-path"));
-        assert!(d.iter().any(|d| d.lint == "dead-pragma"));
+        assert!(d.iter().any(|d| d.lint == "cycle-arith"));
+        assert!(d
+            .iter()
+            .any(|d| d.lint == "pragma" && d.message.contains("suppresses nothing")));
     }
 
     #[test]
@@ -224,7 +245,7 @@ mod tests {
         let w = ws_one(
             "dram-sim",
             "crates/dram-sim/src/x.rs",
-            "fn f() { b.unwrap(); }\nfn g() { a.unwrap(); }\n",
+            "fn f(cycle: u64) -> u64 { cycle + 2 }\nfn g(cycle: u64) -> u64 { cycle + 1 }\n",
         );
         let d = lint_sources(&w);
         assert_eq!(d.len(), 2);

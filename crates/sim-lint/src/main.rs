@@ -4,10 +4,6 @@
 //! Exit codes: 0 clean, 1 violations found, 2 internal error (usage, I/O,
 //! or an unreadable/empty workspace). CI keys on the distinction: 1 means
 //! the code is wrong, 2 means the lint run itself is broken.
-//! `--offline` is accepted (and ignored) so CI can pass the same flag set
-//! to cargo and the tool.
-
-#![forbid(unsafe_code)]
 
 use std::env;
 use std::path::PathBuf;
@@ -24,7 +20,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--json" => json = true,
-            "--offline" => {} // parity with cargo's flag set; no network use anyway
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -117,12 +112,11 @@ fn find_workspace_root() -> Option<PathBuf> {
 
 fn print_usage() {
     eprintln!(
-        "usage: sim-lint --workspace [--json] [--sarif PATH] [--offline] [--root PATH]\n\
+        "usage: sim-lint --workspace [--json] [--sarif PATH] [--root PATH]\n\
          \n\
-         Statically enforces the simulator's correctness contracts:\n\
-         no-panic-hot-path, panic-reachability, checker-parity,\n\
-         metric-registry, forbid-wallclock-and-unsafe, discarded-result,\n\
-         cycle-arith, dead-pragma. See docs/lints.md for the catalog.\n\
+         Statically enforces the simulator contracts rustc and clippy cannot:\n\
+         panic-reachability, checker-parity, metric-registry, cycle-arith.\n\
+         See docs/lints.md for the catalog and the toolchain lint table.\n\
          Exit 0 = clean, 1 = violations, 2 = internal error."
     );
 }

@@ -1,14 +1,15 @@
 //! The lint passes. Each pass walks the analyzed workspace and appends
 //! [`Diagnostic`]s; suppression is applied afterwards by the driver.
+//!
+//! Only checks the toolchain cannot express live here. `unsafe`, wall-clock
+//! reads, lexical panics in the hot crates and discarded `Result`s are
+//! enforced by rustc and clippy through the workspace lint table (see
+//! docs/lints.md).
 
 pub mod cycle_arith;
-pub mod dead_pragma;
-pub mod discarded_result;
 pub mod metrics;
-pub mod no_panic;
 pub mod panic_reach;
 pub mod parity;
-pub mod wallclock;
 
 use crate::diag::Diagnostic;
 use crate::Analysis;
@@ -21,17 +22,12 @@ pub trait Pass {
     fn run(&self, a: &Analysis, out: &mut Vec<Diagnostic>);
 }
 
-/// All shipped passes, in reporting order. The `dead-pragma` pass is not
-/// listed: it runs as a dedicated phase in [`crate::lint_sources`] because
-/// it needs the pre-suppression diagnostics of every other pass as input.
+/// All shipped passes, in reporting order.
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(no_panic::NoPanicHotPath),
         Box::new(panic_reach::PanicReachability),
         Box::new(parity::CheckerParity),
         Box::new(metrics::MetricRegistry),
-        Box::new(wallclock::ForbidWallclockAndUnsafe),
-        Box::new(discarded_result::DiscardedResult),
         Box::new(cycle_arith::CycleArith),
     ]
 }
@@ -39,12 +35,8 @@ pub fn all_passes() -> Vec<Box<dyn Pass>> {
 /// Names of every lint a pragma may reference (the `pragma` meta lint is
 /// always on and cannot be suppressed).
 pub const LINT_NAMES: &[&str] = &[
-    "no-panic-hot-path",
     "panic-reachability",
     "checker-parity",
     "metric-registry",
-    "forbid-wallclock-and-unsafe",
-    "discarded-result",
     "cycle-arith",
-    "dead-pragma",
 ];

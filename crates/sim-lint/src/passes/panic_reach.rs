@@ -1,31 +1,55 @@
 //! `panic-reachability`: no panicking construct may be *transitively*
 //! reachable from the simulator's hot-loop entry points.
 //!
-//! Where `no-panic-hot-path` is lexical and per-crate, this pass walks the
-//! [call graph](crate::callgraph) from the entry points (`Channel::tick`,
-//! `MemorySystem::try_tick`, the bank FSM command methods) and flags every
-//! panic site in any function they reach — including helpers in crates the
-//! lexical pass does not police. Each diagnostic carries the full call
+//! Clippy's `unwrap_used`/`expect_used`/`panic` lints are per-site and
+//! per-crate. This pass walks the [call graph](crate::callgraph) from the
+//! entry points (`Channel::tick`, `MemorySystem::try_tick`, the bank FSM
+//! command methods) and flags every panic site in any function they reach,
+//! including helpers in crates clippy's hot-crate lints do not cover and
+//! `assert!`s clippy has no lint for. Each diagnostic carries the full call
 //! chain from the entry point to the panic site, so the report reads as a
-//! proof, not an assertion.
-//!
-//! A site already vouched infallible with a reasoned
-//! `allow(no-panic-hot-path)` pragma is trusted here too: one
-//! justification covers both the lexical and the interprocedural view of
-//! the same construct. Because the call graph deliberately
+//! proof, not an assertion. Because the call graph deliberately
 //! under-approximates (ambiguous calls produce no edge), every chain this
-//! pass prints is real; the lexical pass backstops what the graph cannot
-//! see inside the hot crates.
+//! pass prints is real.
 
 use std::collections::HashSet;
 
 use crate::callgraph::CallGraph;
 use crate::diag::Diagnostic;
-use crate::passes::no_panic::panic_construct;
+use crate::lexer::{TokKind, Token};
 use crate::passes::Pass;
 use crate::Analysis;
 
 const LINT: &str = "panic-reachability";
+
+/// If the token at `i` is a panicking construct, returns its display form
+/// (`.unwrap(...)`, `panic!(...)`, …): `.unwrap()`, `.expect(`, `panic!`,
+/// `unreachable!`, `todo!`, `unimplemented!` and the `assert!` /
+/// `assert_eq!` / `assert_ne!` macros. `debug_assert*` compiles out of
+/// release builds, so it cannot take a production run down.
+pub fn panic_construct(tokens: &[Token], i: usize) -> Option<String> {
+    let tok = tokens.get(i)?;
+    if !matches!(tok.kind, TokKind::Ident) {
+        return None;
+    }
+    let prev_dot = i > 0 && tokens[i - 1].is_punct('.');
+    let next_bang = tokens.get(i + 1).map(|t| t.is_punct('!')).unwrap_or(false);
+    let next_paren = tokens.get(i + 1).map(|t| t.is_punct('(')).unwrap_or(false);
+    let flagged = match tok.text.as_str() {
+        "unwrap" | "expect" => prev_dot && next_paren,
+        // `panic!(...)` — but not `std::panic::catch_unwind`.
+        "panic" | "unreachable" | "todo" | "unimplemented" => next_bang,
+        "assert" | "assert_eq" | "assert_ne" => next_bang,
+        _ => false,
+    };
+    if !flagged {
+        return None;
+    }
+    Some(match tok.text.as_str() {
+        "unwrap" | "expect" => format!(".{}(...)", tok.text),
+        t => format!("{t}!(...)"),
+    })
+}
 
 /// Hot-loop entry points as `(self_type, method)` pairs: the channel and
 /// memory-system tick functions and the bank FSM command methods.
@@ -83,11 +107,6 @@ impl Pass for PanicReachability {
                     continue;
                 };
                 let line = file.tokens[i].line;
-                // A reasoned allow(no-panic-hot-path) pragma vouches the
-                // site infallible for both views of the same construct.
-                if file.suppresses("no-panic-hot-path", line) {
-                    continue;
-                }
                 if !seen.insert((f.file_idx, i)) {
                     continue;
                 }
@@ -173,17 +192,20 @@ mod tests {
     }
 
     #[test]
-    fn no_panic_pragma_vouches_the_site() {
+    fn clippy_expect_does_not_vouch_the_site() {
+        // A clippy suppression answers the per-site lint only; the reachable
+        // site still needs its own allow(panic-reachability) pragma.
         let w = ws(vec![(
             "dram-sim",
             "crates/dram-sim/src/channel.rs",
             "pub struct Channel;\n\
              impl Channel {\n    pub fn tick(&mut self) { helper(); }\n}\n\
-             fn helper() {\n    \
-             // sim-lint: allow(no-panic-hot-path): key inserted two lines up\n    \
-             m.get(&k).unwrap();\n}\n",
+             #[expect(clippy::unwrap_used, reason = \"key inserted above\")]\n\
+             fn helper() {\n    m.get(&k).unwrap();\n}\n",
         )]);
-        assert!(run(&w).is_empty());
+        let d = run(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 7);
     }
 
     #[test]

@@ -78,6 +78,7 @@ mod tests {
         let s = to_sarif(&[]);
         assert!(s.contains("\"results\": []"));
         // Rules are declared even with no findings.
-        assert!(s.contains("\"id\": \"no-panic-hot-path\""));
+        assert!(s.contains("\"id\": \"panic-reachability\""));
+        assert!(s.contains("\"id\": \"pragma\""));
     }
 }

@@ -5,15 +5,13 @@
 //!
 //! ```text
 //! // sim-lint: allow(lint-name): reason the suppression is sound
-//! // sim-lint: allow-file(lint-name): reason the whole file is exempt
 //! ```
 //!
-//! A line pragma suppresses diagnostics of the named lint(s) on its own
-//! line and on the line directly below it (so it works both trailing a
-//! statement and on the line above one). The reason text after the closing
-//! parenthesis is mandatory — an unexplained suppression is itself a
-//! violation (reported by the always-on `pragma` meta lint, which cannot be
-//! suppressed).
+//! A pragma suppresses diagnostics of the named lint(s) on its own line and
+//! on the line directly below it (so it works both trailing a statement and
+//! on the line above one). The reason text after the closing parenthesis is
+//! mandatory — an unexplained suppression is itself a violation (reported
+//! by the always-on `pragma` meta lint, which cannot be suppressed).
 
 use crate::lexer::{lex, Comment, TokKind, Token};
 
@@ -24,10 +22,15 @@ pub struct Pragma {
     pub lints: Vec<String>,
     /// 1-based line the pragma comment starts on.
     pub line: u32,
-    /// `true` for `allow-file` (whole-file suppression).
-    pub file_level: bool,
     /// Justification text after the directive; required.
     pub reason: String,
+}
+
+impl Pragma {
+    /// Whether the pragma covers `line`: its own line or the one below.
+    pub fn covers(&self, line: u32) -> bool {
+        self.line == line || self.line + 1 == line
+    }
 }
 
 /// Ill-formed pragma found while parsing comments.
@@ -88,10 +91,9 @@ impl SourceFile {
 
     /// Whether a diagnostic of `lint` at `line` is suppressed by a pragma.
     pub fn suppresses(&self, lint: &str, line: u32) -> bool {
-        self.pragmas.iter().any(|p| {
-            p.lints.iter().any(|l| l == lint)
-                && (p.file_level || p.line == line || p.line + 1 == line)
-        })
+        self.pragmas
+            .iter()
+            .any(|p| p.covers(line) && p.lints.iter().any(|l| l == lint))
     }
 }
 
@@ -208,20 +210,15 @@ fn parse_pragmas(comments: &[Comment]) -> (Vec<Pragma>, Vec<PragmaError>) {
             continue;
         };
         let directive = c.text[pos + "sim-lint:".len()..].trim();
-        let file_level = directive.starts_with("allow-file(");
-        let prefix = if file_level { "allow-file(" } else { "allow(" };
-        if !directive.starts_with(prefix) {
+        let Some(rest) = directive.strip_prefix("allow(") else {
             errors.push(PragmaError {
                 line: c.line,
                 message: format!(
-                    "unrecognized sim-lint directive `{}` (expected `allow(...)` or \
-                     `allow-file(...)`)",
-                    directive
+                    "unrecognized sim-lint directive `{directive}` (expected `allow(...)`)"
                 ),
             });
             continue;
-        }
-        let rest = &directive[prefix.len()..];
+        };
         let Some(close) = rest.find(')') else {
             errors.push(PragmaError {
                 line: c.line,
@@ -258,7 +255,6 @@ fn parse_pragmas(comments: &[Comment]) -> (Vec<Pragma>, Vec<PragmaError>) {
         pragmas.push(Pragma {
             lints,
             line: c.line,
-            file_level,
             reason,
         });
     }
@@ -330,28 +326,31 @@ mod tests {
 
     #[test]
     fn pragma_parses_with_reason() {
-        let f = file("// sim-lint: allow(no-panic-hot-path): validated at construction\nlet x;");
+        let f = file("// sim-lint: allow(panic-reachability): validated at construction\nlet x;");
         assert_eq!(f.pragmas.len(), 1);
         assert!(f.pragma_errors.is_empty());
-        assert_eq!(f.pragmas[0].lints, ["no-panic-hot-path"]);
-        assert!(f.suppresses("no-panic-hot-path", 1));
-        assert!(f.suppresses("no-panic-hot-path", 2));
-        assert!(!f.suppresses("no-panic-hot-path", 3));
+        assert_eq!(f.pragmas[0].lints, ["panic-reachability"]);
+        assert!(f.suppresses("panic-reachability", 1));
+        assert!(f.suppresses("panic-reachability", 2));
+        assert!(!f.suppresses("panic-reachability", 3));
         assert!(!f.suppresses("metric-registry", 2));
     }
 
     #[test]
     fn pragma_without_reason_is_an_error() {
-        let f = file("// sim-lint: allow(no-panic-hot-path)\nlet x;");
+        let f = file("// sim-lint: allow(panic-reachability)\nlet x;");
         assert!(f.pragmas.is_empty());
         assert_eq!(f.pragma_errors.len(), 1);
         assert!(f.pragma_errors[0].message.contains("no reason"));
     }
 
     #[test]
-    fn file_level_pragma_covers_all_lines() {
-        let f = file("// sim-lint: allow-file(forbid-wallclock-and-unsafe): bench harness\nx");
-        assert!(f.suppresses("forbid-wallclock-and-unsafe", 999));
+    fn file_level_form_is_an_error() {
+        let f = file("// sim-lint: allow-file(cycle-arith): generated table\nx");
+        assert!(f.pragmas.is_empty());
+        assert_eq!(f.pragma_errors.len(), 1);
+        assert!(f.pragma_errors[0].message.contains("expected `allow(...)`"));
+        assert!(!f.suppresses("cycle-arith", 2));
     }
 
     #[test]

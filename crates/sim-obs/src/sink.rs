@@ -93,10 +93,15 @@ impl TraceSink for RingSink {
 }
 
 /// Streams events as JSON Lines to any writer (one object per line).
+///
+/// A write failure does not abort the simulation: the sink keeps the first
+/// [`io::Error`], stops writing, and hands the error over through
+/// [`JsonlSink::take_error`] once the run is over.
 pub struct JsonlSink<W: Write> {
     out: W,
     line: String,
     count: u64,
+    error: Option<io::Error>,
 }
 
 impl JsonlSink<BufWriter<File>> {
@@ -117,12 +122,18 @@ impl<W: Write> JsonlSink<W> {
             out,
             line: String::with_capacity(128),
             count: 0,
+            error: None,
         }
     }
 
     /// Events written so far.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Takes the first write or flush error, if any occurred.
+    pub fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
     }
 }
 
@@ -131,19 +142,23 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         self.line.clear();
         event.write_json(&mut self.line);
         self.line.push('\n');
-        // A full disk mid-trace should not abort the simulation; the final
-        // flush (or drop) surfaces persistent failures via best effort.
-        let _ = self.out.write_all(self.line.as_bytes());
+        if self.error.is_none() {
+            self.error = self.out.write_all(self.line.as_bytes()).err();
+        }
         self.count += 1;
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
     }
 }
 
 impl<W: Write> Drop for JsonlSink<W> {
     fn drop(&mut self) {
+        // Drop cannot report; callers that care flush first and read
+        // `take_error`.
         let _ = self.out.flush();
     }
 }
@@ -271,6 +286,31 @@ mod tests {
         assert_eq!(ring.dropped(), 2);
         let cycles: Vec<u64> = ring.events().map(TraceEvent::cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4], "oldest events dropped first");
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_the_first_write_error() {
+        struct Failing(u32);
+        impl Write for Failing {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                Err(io::Error::other(format!("write {}", self.0)))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = JsonlSink::new(Failing(0));
+        sink.emit(&act(1));
+        sink.emit(&act(2));
+        sink.flush();
+        let err = sink.take_error().expect("the failed write is kept");
+        assert_eq!(
+            err.to_string(),
+            "write 1",
+            "first error wins, later writes skipped"
+        );
+        assert!(sink.take_error().is_none());
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! The profiler's single window onto the host monotonic clock.
 //!
 //! The workspace forbids wall-clock and monotonic time everywhere the
-//! simulator's behaviour could observe it (sim-lint's
-//! `forbid-wallclock-and-unsafe` pass), so that results stay a pure
+//! simulator's behaviour could observe it (clippy's `disallowed_methods`,
+//! configured in the root `clippy.toml`), so that results stay a pure
 //! function of configuration and seed. Host-time *profiling* is the
 //! sanctioned exception, and this module is the only place in `sim-prof`
-//! allowed to read the clock — sim-lint exempts exactly this file, the
-//! same way it keeps `sim-harness`'s digest module strict while exempting
-//! the rest of that crate.
+//! that reads the clock, under one reasoned `#[expect]`.
 
 use std::time::Instant;
 
 thread_local! {
     /// Per-thread anchor; all span timestamps are nanoseconds since the
     /// first clock read on this thread.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-time profiling is the sanctioned wall-clock read; spans never feed simulator state"
+    )]
     static ANCHOR: Instant = Instant::now();
 }
 

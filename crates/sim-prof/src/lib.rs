@@ -27,7 +27,6 @@
 //! sim_prof::disable();
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod clock;

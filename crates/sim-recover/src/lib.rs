@@ -42,7 +42,19 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![deny(missing_docs)]
 
 use core::fmt;

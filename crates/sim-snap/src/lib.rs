@@ -37,7 +37,6 @@
 //! [`SnapReader::section`]) name the component being serialized, turning a
 //! save/load ordering mismatch into a clear error instead of garbage state.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

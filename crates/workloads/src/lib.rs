@@ -25,7 +25,6 @@
 //! let _op = gen.next_op();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

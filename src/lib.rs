@@ -47,7 +47,6 @@
 //! see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! measured-vs-paper results.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use cache_sim;
