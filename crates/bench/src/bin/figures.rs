@@ -1,0 +1,50 @@
+//! Regenerates every table and figure of the paper's evaluation, and the
+//! extension studies, into `results/`: one `<name>.txt` per figure plus
+//! the SVG charts. Runs that several figures share simulate once.
+//!
+//! ```bash
+//! cargo run -p bench --release --bin figures -- [--only table1,fig12,...] [instructions] [seed]
+//! ```
+
+use std::fs;
+use std::path::Path;
+use std::process::ExitCode;
+
+use bench::{parse_args, ReportStore};
+
+const USAGE: &str = "usage: figures [--only NAME,NAME,...] [instructions] [seed]";
+
+fn write(path: &Path, contents: &str) -> Result<(), String> {
+    fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+fn run(args: &[String]) -> Result<usize, String> {
+    let (cfg, figures) = parse_args(args).map_err(|e| format!("{e}\n{USAGE}"))?;
+    let dir = Path::new("results");
+    fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let mut store = ReportStore::new();
+    for (name, render) in figures {
+        eprintln!("{name} ({} instructions/core)...", cfg.instructions);
+        let files = render(&mut store, &cfg).map_err(|e| format!("{name}: {e}"))?;
+        for (file, contents) in files {
+            write(&dir.join(file), &contents)?;
+        }
+    }
+    Ok(store.simulations())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(simulations) => {
+            println!("{simulations} simulations");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("figures: {e}");
+            ExitCode::from(2)
+        }
+    }
+}

@@ -1,13 +1,12 @@
 //! One function per table/figure of the paper's evaluation. Each returns
-//! typed rows; the `bench` crate's binaries print them in the paper's
-//! layout, and EXPERIMENTS.md records the comparison against the published
-//! numbers.
+//! typed rows; the `bench` crate's `figures` driver renders them in the
+//! paper's layout, and EXPERIMENTS.md records the comparison against the
+//! published numbers. Simulated figures draw their runs from a shared
+//! [`ReportStore`], so a run that several figures need simulates once.
 
 use std::collections::HashMap;
 
-use dram_power::{
-    ActivationEnergyModel, DevicePowerTimings, Figure9Point, IddParams, PowerBreakdown, PowerParams,
-};
+use dram_power::{ActivationEnergyModel, DevicePowerTimings, Figure9Point, IddParams, PowerParams};
 use dram_sim::PagePolicy;
 use workloads::BenchProfile;
 
@@ -39,86 +38,71 @@ impl ExperimentConfig {
         }
     }
 
-    /// Default figure-quality configuration.
+    /// Default figure-quality configuration: the run length `results/`
+    /// and EXPERIMENTS.md are generated at.
     pub const fn figure() -> Self {
         ExperimentConfig {
-            instructions: 300_000,
+            instructions: 200_000,
             seed: 1,
             warmup: None,
         }
     }
-}
 
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        ExperimentConfig::figure()
+    /// A [`SimBuilder`] with this configuration's run length, seed and
+    /// warm-up already applied.
+    pub fn builder(&self) -> SimBuilder {
+        let builder = SimBuilder::new()
+            .instructions(self.instructions)
+            .seed(self.seed);
+        match self.warmup {
+            Some(w) => builder.warmup_mem_ops(w),
+            None => builder,
+        }
     }
 }
 
-/// Runs experiments, memoising the alone-IPC runs that weighted speedup
-/// normalisation needs.
+/// Every report a figure suite has simulated, keyed by the run's
+/// [`SimBuilder::config_digest`] plus its name, so a run that several
+/// figures share simulates once. The name is part of the key because the
+/// digest leaves it out while the report carries it.
 #[derive(Debug, Default)]
-pub struct Runner {
-    alone_cache: HashMap<(String, bool), f64>,
+pub struct ReportStore {
+    reports: HashMap<(u64, Option<String>), Report>,
 }
 
-impl Runner {
-    /// A fresh runner.
+impl ReportStore {
+    /// An empty store.
     pub fn new() -> Self {
-        Runner::default()
+        ReportStore::default()
+    }
+
+    /// The report of `builder`'s run, simulated on the first request only.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`SimBuilder::run`] does.
+    pub fn report(&mut self, builder: &SimBuilder) -> &Report {
+        self.reports
+            .entry((builder.config_digest(), builder.name.clone()))
+            .or_insert_with(|| builder.run())
+    }
+
+    /// How many simulations the store has run.
+    pub fn simulations(&self) -> usize {
+        self.reports.len()
     }
 
     /// IPC of `profile` running alone on the baseline scheme under
-    /// `policy` (memoised). This is the Eq. 3 denominator, shared across
-    /// schemes as the common normalisation (see DESIGN.md).
+    /// `policy`. This is the Eq. 3 denominator, shared across schemes as
+    /// the common normalisation (see DESIGN.md). The run is named after the
+    /// profile, so it is the same run as the motivation figures'.
     pub fn alone_ipc(
         &mut self,
+        cfg: &ExperimentConfig,
         profile: &BenchProfile,
         policy: PagePolicy,
-        cfg: &ExperimentConfig,
     ) -> f64 {
-        let key = (
-            profile.name.to_string(),
-            matches!(policy, PagePolicy::RestrictedClosePage),
-        );
-        if let Some(&ipc) = self.alone_cache.get(&key) {
-            return ipc;
-        }
-        let mut builder = SimBuilder::new()
-            .app(*profile)
-            .scheme(Scheme::Baseline)
-            .policy(policy)
-            .instructions(cfg.instructions)
-            .seed(cfg.seed);
-        if let Some(w) = cfg.warmup {
-            builder = builder.warmup_mem_ops(w);
-        }
-        let report = builder.run();
-        let ipc = report.ipc[0];
-        self.alone_cache.insert(key, ipc);
-        ipc
-    }
-
-    /// Runs a named 4-app workload under a scheme/policy.
-    pub fn run_workload(
-        &mut self,
-        name: &str,
-        apps: &[BenchProfile; 4],
-        scheme: Scheme,
-        policy: PagePolicy,
-        cfg: &ExperimentConfig,
-    ) -> Report {
-        let mut builder = SimBuilder::new()
-            .mix(*apps)
-            .name(name)
-            .scheme(scheme)
-            .policy(policy)
-            .instructions(cfg.instructions)
-            .seed(cfg.seed);
-        if let Some(w) = cfg.warmup {
-            builder = builder.warmup_mem_ops(w);
-        }
-        builder.run()
+        self.report(&alone_builder(cfg, profile, policy)).ipc[0]
     }
 
     /// Weighted speedup of a 4-core report (Eq. 3).
@@ -127,21 +111,21 @@ impl Runner {
     ///
     /// Panics if the report does not come from a 4-core run matching
     /// `apps`, or an alone run produced a zero IPC (both are driver bugs:
-    /// the runner itself produced the inputs).
+    /// the store itself produced the inputs).
     #[expect(
         clippy::expect_used,
         reason = "the alone vector is built one entry per app of this report, so the lengths match by construction"
     )]
     pub fn weighted_speedup(
         &mut self,
+        cfg: &ExperimentConfig,
         report: &Report,
         apps: &[BenchProfile; 4],
         policy: PagePolicy,
-        cfg: &ExperimentConfig,
     ) -> f64 {
         let alone: Vec<f64> = apps
             .iter()
-            .map(|a| self.alone_ipc(a, policy, cfg))
+            .map(|a| self.alone_ipc(cfg, a, policy))
             .collect();
         report
             .weighted_speedup(&alone)
@@ -167,32 +151,22 @@ pub struct Table1Row {
 }
 
 /// Runs the eight benchmarks single-core on the baseline (the paper's
-/// motivational setup) and returns one [`Report`] each.
-pub fn motivation_runs(cfg: &ExperimentConfig) -> Vec<Report> {
+/// motivational setup) and returns one [`Report`] each. These are also the
+/// relaxed close-page alone-IPC runs of [`ReportStore::alone_ipc`].
+pub fn motivation_runs(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<Report> {
     workloads::all_benchmarks()
-        .into_iter()
+        .iter()
         .map(|b| {
-            let mut builder = SimBuilder::new()
-                .app(b)
-                .name(b.name)
-                .scheme(Scheme::Baseline)
-                .policy(PagePolicy::RelaxedClosePage)
-                .instructions(cfg.instructions)
-                .seed(cfg.seed);
-            if let Some(w) = cfg.warmup {
-                builder = builder.warmup_mem_ops(w);
-            }
-            builder.run()
+            store
+                .report(&alone_builder(cfg, b, PagePolicy::RelaxedClosePage))
+                .clone()
         })
         .collect()
 }
 
 /// Table 1: per-benchmark memory characteristics.
-pub fn table1(cfg: &ExperimentConfig) -> Vec<Table1Row> {
-    motivation_runs(cfg)
-        .into_iter()
-        .map(|r| table1_row(&r))
-        .collect()
+pub fn table1(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<Table1Row> {
+    motivation_runs(store, cfg).iter().map(table1_row).collect()
 }
 
 /// Derives a Table 1 row from any report.
@@ -203,22 +177,6 @@ pub fn table1_row(report: &Report) -> Table1Row {
         traffic: report.traffic_split(),
         activations: report.activation_split(),
     }
-}
-
-/// Figure 2: baseline DRAM power breakdown per benchmark.
-pub fn fig2(cfg: &ExperimentConfig) -> Vec<(String, PowerBreakdown)> {
-    motivation_runs(cfg)
-        .into_iter()
-        .map(|r| (r.workload.clone(), r.power))
-        .collect()
-}
-
-/// Figure 3: dirty-word distribution of evicted LLC lines per benchmark.
-pub fn fig3(cfg: &ExperimentConfig) -> Vec<(String, [f64; 8])> {
-    motivation_runs(cfg)
-        .into_iter()
-        .map(|r| (r.workload.clone(), r.cache.dirty_word_proportions()))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -285,13 +243,12 @@ pub struct Fig10Row {
 
 /// Figure 10: PRA's impact on row-buffer hit rates, across the 14
 /// workloads under the relaxed close-page policy.
-pub fn fig10(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
-    let mut runner = Runner::new();
+pub fn fig10(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<Fig10Row> {
     workloads::all_workloads()
         .into_iter()
         .map(|(name, apps)| {
-            let r =
-                runner.run_workload(&name, &apps, Scheme::Pra, PagePolicy::RelaxedClosePage, cfg);
+            let builder = workload_builder(cfg, &name, &apps, PagePolicy::RelaxedClosePage);
+            let r = store.report(&builder.scheme(Scheme::Pra));
             let read = &r.dram.read;
             let write = &r.dram.write;
             Fig10Row {
@@ -310,12 +267,15 @@ pub fn fig10(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
 /// Figure 11: PRA's activation-granularity proportions per workload under
 /// the given policy, plus the all-workload average as a final `"average"`
 /// row.
-pub fn fig11(cfg: &ExperimentConfig, policy: PagePolicy) -> Vec<(String, [f64; 8])> {
-    let mut runner = Runner::new();
+pub fn fig11(
+    store: &mut ReportStore,
+    cfg: &ExperimentConfig,
+    policy: PagePolicy,
+) -> Vec<(String, [f64; 8])> {
     let mut rows: Vec<(String, [f64; 8])> = workloads::all_workloads()
         .into_iter()
         .map(|(name, apps)| {
-            let r = runner.run_workload(&name, &apps, Scheme::Pra, policy, cfg);
+            let r = store.report(&workload_builder(cfg, &name, &apps, policy).scheme(Scheme::Pra));
             (name, r.dram.granularity_proportions())
         })
         .collect();
@@ -353,40 +313,30 @@ pub struct ComparisonRow {
     pub report: Report,
 }
 
-/// Runs a scheme set over all 14 workloads under `policy`, normalising
-/// each scheme's metrics to the baseline run of the same workload. The
-/// baseline itself is included as rows with all-1.0 normalised values.
+/// Runs a scheme set under `policy` over those of the 14 workloads whose
+/// name `filter` accepts, normalising each scheme's metrics to the
+/// baseline run of the same workload. A baseline in the set yields rows
+/// with all-1.0 normalised values.
 pub fn scheme_comparison(
-    cfg: &ExperimentConfig,
-    schemes: &[Scheme],
-    policy: PagePolicy,
-) -> Vec<ComparisonRow> {
-    scheme_comparison_filtered(cfg, schemes, policy, |_| true)
-}
-
-/// [`scheme_comparison`] over the subset of the 14 workloads whose name the
-/// filter accepts — useful for quick looks and fast tests.
-pub fn scheme_comparison_filtered(
+    store: &mut ReportStore,
     cfg: &ExperimentConfig,
     schemes: &[Scheme],
     policy: PagePolicy,
     filter: impl Fn(&str) -> bool,
 ) -> Vec<ComparisonRow> {
-    let mut runner = Runner::new();
     let mut rows = Vec::new();
     for (name, apps) in workloads::all_workloads()
         .into_iter()
         .filter(|(n, _)| filter(n))
     {
-        let base = runner.run_workload(&name, &apps, Scheme::Baseline, policy, cfg);
-        let base_ws = runner.weighted_speedup(&base, &apps, policy, cfg);
+        let workload = workload_builder(cfg, &name, &apps, policy);
+        let base = store
+            .report(&workload.clone().scheme(Scheme::Baseline))
+            .clone();
+        let base_ws = store.weighted_speedup(cfg, &base, &apps, policy);
         for &scheme in schemes {
-            let r = if scheme == Scheme::Baseline {
-                base.clone()
-            } else {
-                runner.run_workload(&name, &apps, scheme, policy, cfg)
-            };
-            let ws = runner.weighted_speedup(&r, &apps, policy, cfg);
+            let r = store.report(&workload.clone().scheme(scheme)).clone();
+            let ws = store.weighted_speedup(cfg, &r, &apps, policy);
             rows.push(ComparisonRow {
                 workload: name.clone(),
                 scheme: scheme.name().to_string(),
@@ -403,31 +353,45 @@ pub fn scheme_comparison_filtered(
     rows
 }
 
-/// Figures 12 and 13: FGA vs Half-DRAM vs PRA under relaxed close-page.
+/// Figures 12 and 13: FGA vs Half-DRAM vs PRA under relaxed close-page,
+/// in a store of their own. Per workload this runs the baseline, then the
+/// alone-IPC runs its weighted speedup needs for the first time, then FGA,
+/// Half-DRAM and PRA.
 pub fn fig12_13(cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
+    fig12_13_with(&mut ReportStore::new(), cfg)
+}
+
+/// [`fig12_13`] over a shared store.
+pub fn fig12_13_with(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
     scheme_comparison(
+        store,
         cfg,
         &[Scheme::Fga, Scheme::HalfDram, Scheme::Pra],
         PagePolicy::RelaxedClosePage,
+        |_| true,
     )
 }
 
 /// Figure 14: Half-DRAM vs PRA vs the combined scheme under restricted
 /// close-page (the paper reports the 14-workload mean).
-pub fn fig14(cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
+pub fn fig14(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
     scheme_comparison(
+        store,
         cfg,
         &[Scheme::HalfDram, Scheme::Pra, Scheme::HalfDramPra],
         PagePolicy::RestrictedClosePage,
+        |_| true,
     )
 }
 
 /// Figure 15: DBI vs PRA vs the combined scheme under relaxed close-page.
-pub fn fig15(cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
+pub fn fig15(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
     scheme_comparison(
+        store,
         cfg,
         &[Scheme::Dbi, Scheme::Pra, Scheme::DbiPra],
         PagePolicy::RelaxedClosePage,
+        |_| true,
     )
 }
 
@@ -492,6 +456,27 @@ pub fn comparison_to_csv(rows: &[ComparisonRow]) -> String {
     out
 }
 
+/// A named 4-app workload under `policy`.
+fn workload_builder(
+    cfg: &ExperimentConfig,
+    name: &str,
+    apps: &[BenchProfile; 4],
+    policy: PagePolicy,
+) -> SimBuilder {
+    cfg.builder().mix(*apps).name(name).policy(policy)
+}
+
+/// `profile` running alone on the baseline under `policy`, named after
+/// the profile: a motivation run under relaxed close-page, and the run
+/// behind [`ReportStore::alone_ipc`].
+fn alone_builder(cfg: &ExperimentConfig, profile: &BenchProfile, policy: PagePolicy) -> SimBuilder {
+    cfg.builder()
+        .app(*profile)
+        .name(profile.name)
+        .scheme(Scheme::Baseline)
+        .policy(policy)
+}
+
 fn ratio(value: f64, base: f64) -> f64 {
     if base == 0.0 {
         1.0
@@ -514,7 +499,7 @@ mod tests {
 
     #[test]
     fn table1_has_eight_rows_with_sane_splits() {
-        let rows = table1(&tiny());
+        let rows = table1(&mut ReportStore::new(), &tiny());
         assert_eq!(rows.len(), 8);
         for row in &rows {
             assert!(
@@ -539,16 +524,7 @@ mod tests {
 
     #[test]
     fn mean_by_scheme_averages() {
-        let cfg = tiny();
-        let mut runner = Runner::new();
-        let apps = [workloads::gups(); 4];
-        let base = runner.run_workload(
-            "g",
-            &apps,
-            Scheme::Baseline,
-            PagePolicy::RelaxedClosePage,
-            &cfg,
-        );
+        let base = tiny().builder().homogeneous(workloads::gups(), 4).run();
         let row = |scheme: &str, v: f64| ComparisonRow {
             workload: "w".into(),
             scheme: scheme.into(),
@@ -571,7 +547,8 @@ mod tests {
     #[test]
     fn filtered_comparison_normalises_to_baseline() {
         let cfg = tiny();
-        let rows = scheme_comparison_filtered(
+        let rows = scheme_comparison(
+            &mut ReportStore::new(),
             &cfg,
             &[Scheme::Baseline, Scheme::Pra],
             PagePolicy::RelaxedClosePage,
@@ -589,9 +566,10 @@ mod tests {
 
     #[test]
     fn fig3_distributions_are_probability_vectors() {
-        let rows = fig3(&tiny());
-        assert_eq!(rows.len(), 8);
-        for (name, dist) in rows {
+        let runs = motivation_runs(&mut ReportStore::new(), &tiny());
+        assert_eq!(runs.len(), 8);
+        for r in runs {
+            let (name, dist) = (r.workload, r.cache.dirty_word_proportions());
             let sum: f64 = dist.iter().sum();
             assert!(
                 sum == 0.0 || (sum - 1.0).abs() < 1e-9,
@@ -603,7 +581,8 @@ mod tests {
     #[test]
     fn csv_export_shape() {
         let cfg = tiny();
-        let rows = scheme_comparison_filtered(
+        let rows = scheme_comparison(
+            &mut ReportStore::new(),
             &cfg,
             &[Scheme::Baseline, Scheme::Pra],
             PagePolicy::RelaxedClosePage,
@@ -621,12 +600,19 @@ mod tests {
     }
 
     #[test]
-    fn alone_ipc_is_memoised() {
+    fn store_simulates_each_run_once_and_matches_a_fresh_run() {
         let cfg = tiny();
-        let mut runner = Runner::new();
-        let a = runner.alone_ipc(&workloads::gups(), PagePolicy::RelaxedClosePage, &cfg);
-        let b = runner.alone_ipc(&workloads::gups(), PagePolicy::RelaxedClosePage, &cfg);
-        assert_eq!(a, b);
-        assert_eq!(runner.alone_cache.len(), 1);
+        let builder = cfg
+            .builder()
+            .app(workloads::gups())
+            .name("GUPS")
+            .scheme(Scheme::Baseline);
+        let mut store = ReportStore::new();
+        let digest = store.report(&builder).state_digest();
+        assert_eq!(store.simulations(), 1);
+        assert_eq!(store.report(&builder).state_digest(), digest);
+        store.alone_ipc(&cfg, &workloads::gups(), PagePolicy::RelaxedClosePage);
+        assert_eq!(store.simulations(), 1, "the alone run is the named run");
+        assert_eq!(builder.run().state_digest(), digest);
     }
 }

@@ -68,7 +68,7 @@ pub enum DramGeneration {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimBuilder {
-    name: Option<String>,
+    pub(crate) name: Option<String>,
     apps: Vec<AppSpec>,
     scheme: Scheme,
     policy: PagePolicy,

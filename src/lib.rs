@@ -42,8 +42,9 @@
 //! assert!(pra.power.total() < baseline.power.total());
 //! ```
 //!
-//! Every table and figure of the paper's evaluation regenerates via the
-//! `bench` crate's binaries (`cargo run -p bench --release --bin fig12`);
+//! Every table and figure of the paper's evaluation regenerates into
+//! `results/` via the `bench` crate's one driver
+//! (`cargo run -p bench --release --bin figures -- --only fig12`);
 //! see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! measured-vs-paper results.
 

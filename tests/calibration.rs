@@ -3,7 +3,7 @@
 //! workload profiles or simulator. Runs at reduced scale; the full-scale
 //! numbers live in EXPERIMENTS.md.
 
-use pra_repro::pra_core::experiments::{table1, ExperimentConfig};
+use pra_repro::pra_core::experiments::{motivation_runs, table1, ExperimentConfig, ReportStore};
 use pra_repro::{Scheme, SimBuilder};
 
 fn cfg() -> ExperimentConfig {
@@ -19,7 +19,7 @@ fn locality_asymmetry_holds_for_every_benchmark() {
     // The paper's central Table 1 observation: reads have (much) better row
     // locality than writes, for every benchmark — up to noise for the
     // random benchmarks whose rates are both within a percent of zero.
-    for row in table1(&cfg()) {
+    for row in table1(&mut ReportStore::new(), &cfg()) {
         assert!(
             row.rb_hit.0 + 0.02 >= row.rb_hit.1,
             "{}: read hit {:.3} must be >= write hit {:.3}",
@@ -42,7 +42,7 @@ fn locality_asymmetry_holds_for_every_benchmark() {
 
 #[test]
 fn benchmark_character_matches_table1() {
-    let rows = table1(&cfg());
+    let rows = table1(&mut ReportStore::new(), &cfg());
     let get = |name: &str| rows.iter().find(|r| r.name == name).expect(name);
 
     // libquantum has the best locality of the suite, on both sides.
@@ -98,7 +98,7 @@ fn benchmark_character_matches_table1() {
 fn dirty_word_distribution_is_single_word_dominated() {
     // Figure 3's shape: across the suite, most evicted dirty lines carry
     // very few dirty words.
-    let reports = pra_repro::pra_core::experiments::motivation_runs(&cfg());
+    let reports = motivation_runs(&mut ReportStore::new(), &cfg());
     let mut single = 0.0;
     let mut counted = 0;
     for report in &reports {
