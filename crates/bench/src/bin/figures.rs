@@ -1,6 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation, and the
 //! extension studies, into `results/`: one `<name>.txt` per figure plus
-//! the SVG charts. Runs that several figures share simulate once.
+//! the SVG charts. Runs that several figures share simulate once, and runs
+//! that warm up to the same caches warm up once.
 //!
 //! ```bash
 //! cargo run -p bench --release --bin figures -- [--only table1,fig12,...] [instructions] [seed]
@@ -20,7 +21,8 @@ fn write(path: &Path, contents: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: &[String]) -> Result<usize, String> {
+/// Runs the selected figures; returns the simulations and warm-ups done.
+fn run(args: &[String]) -> Result<(usize, usize), String> {
     let (cfg, figures) = parse_args(args).map_err(|e| format!("{e}\n{USAGE}"))?;
     let dir = Path::new("results");
     fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
@@ -32,14 +34,14 @@ fn run(args: &[String]) -> Result<usize, String> {
             write(&dir.join(file), &contents)?;
         }
     }
-    Ok(store.simulations())
+    Ok((store.simulations(), store.warmups()))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(simulations) => {
-            println!("{simulations} simulations");
+        Ok((simulations, warmups)) => {
+            println!("{simulations} simulations, {warmups} warm-ups");
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -43,9 +43,15 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the capacity is not a whole power-of-two number of sets of
-    /// whole lines.
+    /// whole lines, or the associativity is outside `1..=255` (a set's fill
+    /// count is a `u8`).
     pub fn assert_valid(&self) {
         assert!(self.ways > 0, "cache needs at least one way");
+        assert!(
+            self.ways <= usize::from(u8::MAX),
+            "associativity {} exceeds the 255-way limit",
+            self.ways
+        );
         let lines = self.size_bytes / LINE_BYTES as usize;
         assert!(
             lines * LINE_BYTES as usize == self.size_bytes,
@@ -67,7 +73,6 @@ pub struct LineMeta {
     /// Fine-grained dirty bits: one per 8 B word, [`WordMask::EMPTY`] when
     /// clean.
     pub dirty: WordMask,
-    lru_stamp: u64,
 }
 
 /// A line evicted to make room for a fill.
@@ -83,6 +88,12 @@ pub struct Evicted {
 ///
 /// The cache stores only metadata — tags, valid bits and the 8 fine-grained
 /// dirty bits per line that PRA's cache support adds (Section 4.1.4).
+///
+/// Storage is flat: way `w` of set `s` lives at slot `s * ways + w` of the
+/// line, LRU-stamp and dirty arrays, and a set's resident lines occupy its
+/// first `filled[s]` slots. Removing a line moves the set's last line into
+/// the hole, so the per-set order — and with it victims, iteration order
+/// and snapshot bytes — follows the access stream exactly.
 ///
 /// # Example
 ///
@@ -100,7 +111,13 @@ pub struct Evicted {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<LineMeta>>,
+    /// `sets - 1`: the set index is the line number's low bits.
+    set_mask: u64,
+    lines: Vec<u64>,
+    stamps: Vec<u64>,
+    dirty: Vec<WordMask>,
+    /// Resident lines per set.
+    filled: Vec<u8>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -115,8 +132,13 @@ impl Cache {
     /// [`CacheConfig::assert_valid`]).
     pub fn new(config: CacheConfig) -> Self {
         config.assert_valid();
+        let (sets, slots) = (config.sets(), config.sets() * config.ways);
         Cache {
-            sets: vec![Vec::with_capacity(config.ways); config.sets()],
+            set_mask: sets as u64 - 1,
+            lines: vec![0; slots],
+            stamps: vec![0; slots],
+            dirty: vec![WordMask::EMPTY; slots],
+            filled: vec![0; sets],
             config,
             clock: 0,
             hits: 0,
@@ -130,26 +152,52 @@ impl Cache {
     }
 
     fn set_index(&self, line: u64) -> usize {
-        (line % self.sets.len() as u64) as usize
+        (line & self.set_mask) as usize
+    }
+
+    /// The slots of `set`'s resident lines.
+    fn slots(&self, set: usize) -> std::ops::Range<usize> {
+        let base = set * self.config.ways;
+        base..base + usize::from(self.filled[set])
+    }
+
+    /// The slot holding `line`, if resident.
+    fn find(&self, line: u64) -> Option<usize> {
+        let slots = self.slots(self.set_index(line));
+        let base = slots.start;
+        self.lines[slots]
+            .iter()
+            .position(|&l| l == line)
+            .map(|w| base + w)
+    }
+
+    /// Removes the line in `slot` of `set`, moving the set's last line into
+    /// the hole.
+    fn remove(&mut self, set: usize, slot: usize) -> Evicted {
+        let evicted = Evicted {
+            addr: PhysAddr::from_line_number(self.lines[slot]),
+            dirty: self.dirty[slot],
+        };
+        self.filled[set] -= 1;
+        let last = self.slots(set).end;
+        self.lines[slot] = self.lines[last];
+        self.stamps[slot] = self.stamps[last];
+        self.dirty[slot] = self.dirty[last];
+        evicted
     }
 
     /// `true` if the line containing `addr` is resident. Does not touch LRU
     /// state or hit/miss counters.
     pub fn contains(&self, addr: PhysAddr) -> bool {
-        let line = addr.line_number();
-        self.sets[self.set_index(line)]
-            .iter()
-            .any(|l| l.line == line)
+        self.find(addr.line_number()).is_some()
     }
 
     /// Looks the line up as a demand access: updates LRU and hit/miss
     /// counters, returns `true` on hit.
     pub fn access(&mut self, addr: PhysAddr) -> bool {
-        let line = addr.line_number();
         self.clock += 1;
-        let set = self.set_index(line);
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.line == line) {
-            l.lru_stamp = self.clock;
+        if let Some(slot) = self.find(addr.line_number()) {
+            self.stamps[slot] = self.clock;
             self.hits += 1;
             true
         } else {
@@ -164,34 +212,30 @@ impl Cache {
     pub fn fill(&mut self, addr: PhysAddr) -> Option<Evicted> {
         let line = addr.line_number();
         self.clock += 1;
-        let set_idx = self.set_index(line);
-        let ways = self.config.ways;
-        let set = &mut self.sets[set_idx];
-        if let Some(l) = set.iter_mut().find(|l| l.line == line) {
-            l.lru_stamp = self.clock;
+        if let Some(slot) = self.find(line) {
+            self.stamps[slot] = self.clock;
             return None;
         }
-        let victim = if set.len() == ways {
+        let set = self.set_index(line);
+        let slots = self.slots(set);
+        let victim = if slots.len() == self.config.ways {
             // A full set is non-empty (ways >= 1 is config-validated), so the
             // LRU scan always finds a victim; fall back to way 0 regardless.
-            let pos = set
+            let base = slots.start;
+            let w = self.stamps[slots]
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, l)| l.lru_stamp)
-                .map_or(0, |(pos, _)| pos);
-            let v = set.swap_remove(pos);
-            Some(Evicted {
-                addr: PhysAddr::from_line_number(v.line),
-                dirty: v.dirty,
-            })
+                .min_by_key(|&(_, &stamp)| stamp)
+                .map_or(0, |(w, _)| w);
+            Some(self.remove(set, base + w))
         } else {
             None
         };
-        set.push(LineMeta {
-            line,
-            dirty: WordMask::EMPTY,
-            lru_stamp: self.clock,
-        });
+        let slot = self.slots(set).end;
+        self.lines[slot] = line;
+        self.stamps[slot] = self.clock;
+        self.dirty[slot] = WordMask::EMPTY;
+        self.filled[set] += 1;
         victim
     }
 
@@ -199,47 +243,32 @@ impl Cache {
     /// resident. (L1 stores dirty a single word; L1-to-L2 writebacks OR the
     /// whole evicted mask, per Section 4.1.4.)
     pub fn mark_dirty(&mut self, addr: PhysAddr, mask: WordMask) -> bool {
-        let line = addr.line_number();
-        let set = self.set_index(line);
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.line == line) {
-            l.dirty |= mask;
-            true
-        } else {
-            false
+        match self.find(addr.line_number()) {
+            Some(slot) => {
+                self.dirty[slot] |= mask;
+                true
+            }
+            None => false,
         }
     }
 
     /// The line's dirty mask, if resident.
     pub fn dirty_mask(&self, addr: PhysAddr) -> Option<WordMask> {
-        let line = addr.line_number();
-        self.sets[self.set_index(line)]
-            .iter()
-            .find(|l| l.line == line)
-            .map(|l| l.dirty)
+        self.find(addr.line_number()).map(|slot| self.dirty[slot])
     }
 
     /// Clears the line's dirty bits without evicting it (DBI's proactive
     /// writeback leaves lines valid but clean). Returns the previous mask.
     pub fn clean(&mut self, addr: PhysAddr) -> Option<WordMask> {
-        let line = addr.line_number();
-        let set = self.set_index(line);
-        self.sets[set].iter_mut().find(|l| l.line == line).map(|l| {
-            let prev = l.dirty;
-            l.dirty = WordMask::EMPTY;
-            prev
-        })
+        let slot = self.find(addr.line_number())?;
+        Some(std::mem::replace(&mut self.dirty[slot], WordMask::EMPTY))
     }
 
     /// Removes the line, returning its eviction record if it was resident.
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<Evicted> {
         let line = addr.line_number();
-        let set = self.set_index(line);
-        let pos = self.sets[set].iter().position(|l| l.line == line)?;
-        let v = self.sets[set].swap_remove(pos);
-        Some(Evicted {
-            addr: PhysAddr::from_line_number(v.line),
-            dirty: v.dirty,
-        })
+        let slot = self.find(line)?;
+        Some(self.remove(self.set_index(line), slot))
     }
 
     /// (hits, misses) counted by [`Cache::access`].
@@ -247,14 +276,24 @@ impl Cache {
         (self.hits, self.misses)
     }
 
-    /// Resident lines, in no particular order.
-    pub fn iter_lines(&self) -> impl Iterator<Item = &LineMeta> {
-        self.sets.iter().flatten()
+    /// Resident lines, set by set, each set in its storage order.
+    pub fn iter_lines(&self) -> impl Iterator<Item = LineMeta> + '_ {
+        self.set_slots().flat_map(move |slots| {
+            slots.map(move |slot| LineMeta {
+                line: self.lines[slot],
+                dirty: self.dirty[slot],
+            })
+        })
+    }
+
+    /// Each set's resident slots, in set order.
+    fn set_slots(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        (0..self.filled.len()).map(|set| self.slots(set))
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.filled.iter().map(|&n| usize::from(n)).sum()
     }
 
     /// `true` if no lines are resident.
@@ -266,16 +305,16 @@ impl Cache {
 impl sim_snap::SnapState for Cache {
     fn snap_save(&self, w: &mut sim_snap::SnapWriter) {
         w.section("cache");
-        // Per-set Vec order is load-bearing: `fill`/`invalidate` use
-        // `swap_remove`, so a restored cache must replay the exact layout,
-        // not just the resident-line set.
-        w.seq(self.sets.len());
-        for set in &self.sets {
-            w.seq(set.len());
-            for l in set {
-                w.u64(l.line);
-                w.u8(l.dirty.bits());
-                w.u64(l.lru_stamp);
+        // Per-set order is load-bearing: `fill`/`invalidate` move a set's
+        // last line into the hole, so a restored cache must replay the
+        // exact layout, not just the resident-line set.
+        w.seq(self.filled.len());
+        for slots in self.set_slots() {
+            w.seq(slots.len());
+            for slot in slots {
+                w.u64(self.lines[slot]);
+                w.u8(self.dirty[slot].bits());
+                w.u64(self.stamps[slot]);
             }
         }
         w.u64(self.clock);
@@ -286,24 +325,26 @@ impl sim_snap::SnapState for Cache {
     fn snap_load(&mut self, r: &mut sim_snap::SnapReader<'_>) -> Result<(), sim_snap::SnapError> {
         r.section("cache")?;
         let sets = r.seq()?;
-        if sets != self.sets.len() {
+        if sets != self.filled.len() {
             return Err(sim_snap::SnapError::Decode(format!(
                 "cache set count mismatch: snapshot has {sets}, config has {}",
-                self.sets.len()
+                self.filled.len()
             )));
         }
-        for set in &mut self.sets {
-            set.clear();
-            let ways = r.seq()?;
-            for _ in 0..ways {
-                let line = r.u64()?;
-                let dirty = WordMask::from_bits(r.u8()?);
-                let lru_stamp = r.u64()?;
-                set.push(LineMeta {
-                    line,
-                    dirty,
-                    lru_stamp,
-                });
+        let ways = self.config.ways;
+        for set in 0..sets {
+            let n = r.seq()?;
+            if n > ways {
+                return Err(sim_snap::SnapError::Decode(format!(
+                    "cache set {set} holds {n} lines, config has {ways} ways"
+                )));
+            }
+            // `n <= ways`, which `assert_valid` bounds by `u8::MAX`.
+            self.filled[set] = n as u8;
+            for slot in self.slots(set) {
+                self.lines[slot] = r.u64()?;
+                self.dirty[slot] = WordMask::from_bits(r.u8()?);
+                self.stamps[slot] = r.u64()?;
             }
         }
         self.clock = r.u64()?;
@@ -468,6 +509,86 @@ mod tests {
         });
         let mut r = sim_snap::SnapReader::new(&bytes);
         assert!(other.snap_load(&mut r).is_err());
+        // Nor can a 1-way cache of as many sets absorb a full 2-way set.
+        let mut c = tiny();
+        c.fill(line(0, 0));
+        c.fill(line(0, 1));
+        let mut w = sim_snap::SnapWriter::new();
+        c.snap_save(&mut w);
+        let bytes = w.into_bytes();
+        let mut narrow = Cache::new(CacheConfig {
+            size_bytes: 256,
+            ways: 1,
+            latency_cycles: 1,
+        });
+        let mut r = sim_snap::SnapReader::new(&bytes);
+        assert!(narrow.snap_load(&mut r).is_err());
+    }
+
+    /// Plays a seeded random fill/access/mark_dirty/clean/invalidate
+    /// sequence and returns the FNV-1a of the snapshot bytes and of the
+    /// victims plus the `iter_lines()` sequence.
+    fn layout_fingerprint(config: CacheConfig, ops: u64, span: u64) -> (u64, u64) {
+        use sim_snap::SnapState;
+        let mut c = Cache::new(config);
+        let mut rng = mem_model::rng::Rng::seed_from_u64(0x5EED);
+        let mut trail = Vec::new();
+        for _ in 0..ops {
+            let a = PhysAddr::from_line_number(rng.bounded_u64(span));
+            match rng.bounded_u64(8) {
+                0..=2 => {
+                    if let Some(v) = c.fill(a) {
+                        trail.extend(v.addr.line_number().to_le_bytes());
+                        trail.push(v.dirty.bits());
+                    }
+                }
+                3 | 4 => trail.push(u8::from(c.access(a))),
+                5 => trail.push(u8::from(
+                    c.mark_dirty(a, WordMask::single(rng.bounded_u64(8) as u8)),
+                )),
+                6 => trail.push(c.clean(a).map_or(0xFF, WordMask::bits)),
+                _ => trail.push(c.invalidate(a).map_or(0xFF, |v| v.dirty.bits())),
+            }
+        }
+        for l in c.iter_lines() {
+            trail.extend(l.line.to_le_bytes());
+            trail.push(l.dirty.bits());
+        }
+        let mut w = sim_snap::SnapWriter::new();
+        c.snap_save(&mut w);
+        (
+            sim_snap::codec::fnv1a_64(&w.into_bytes()),
+            sim_snap::codec::fnv1a_64(&trail),
+        )
+    }
+
+    #[test]
+    fn layout_is_pinned() {
+        // Victims, `iter_lines()` order and snapshot bytes of the per-set
+        // layout, pinned so a storage change cannot reorder lines silently.
+        let small = CacheConfig {
+            size_bytes: 2048,
+            ways: 4,
+            latency_cycles: 1,
+        };
+        assert_eq!(
+            layout_fingerprint(small, 4_000, 96),
+            (14_718_296_855_899_338_866, 7_330_561_754_090_606_918)
+        );
+        assert_eq!(
+            layout_fingerprint(CacheConfig::paper_l2(), 300_000, 200_000),
+            (3_476_571_043_139_373_648, 8_455_390_661_629_429_126)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "255-way limit")]
+    fn associativity_beyond_a_byte_rejected() {
+        Cache::new(CacheConfig {
+            size_bytes: 256 * 64,
+            ways: 256,
+            latency_cycles: 1,
+        });
     }
 
     #[test]

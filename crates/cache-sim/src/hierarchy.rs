@@ -218,6 +218,25 @@ impl CacheHierarchy {
         }
     }
 
+    /// A copy of the simulated state — cache contents, DBI index,
+    /// statistics and any fault injector — with no trace sink attached: a
+    /// sink observes one run, it is not state. Lets several runs start
+    /// from one functionally warmed hierarchy.
+    pub fn fork(&self) -> Self {
+        CacheHierarchy {
+            config: self.config,
+            l1s: self.l1s.clone(),
+            l2: self.l2.clone(),
+            dbi: self.dbi.clone(),
+            geometry: self.geometry,
+            mapping: self.mapping,
+            stats: self.stats.clone(),
+            sink: SinkHandle::disabled(),
+            now: self.now,
+            faults: self.faults.clone(),
+        }
+    }
+
     /// Attaches a fault injector that can set spurious FGD dirty bits on L2
     /// evictions (fail-safe direction only: a flipped bit widens the
     /// writeback mask, it never drops dirty data). Without one, eviction
@@ -810,6 +829,25 @@ mod tests {
         assert_eq!(live.fault_counts(), restored.fault_counts());
         // Drains agree too: resident lines and dirty masks match exactly.
         assert_eq!(live.flush(), restored.flush());
+    }
+
+    #[test]
+    fn fork_resumes_identically() {
+        let traffic = |h: &mut CacheHierarchy, range: std::ops::Range<u64>| {
+            range
+                .map(|i| {
+                    let addr = PhysAddr::from_line_number((i * 7) % 96);
+                    let store = (i % 3 == 0).then(|| WordMask::single((i % 8) as u8));
+                    h.access((i % 2) as usize, addr, store).writebacks
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut live = h(2, true);
+        traffic(&mut live, 0..400);
+        let mut fork = live.fork();
+        assert_eq!(traffic(&mut live, 400..800), traffic(&mut fork, 400..800));
+        assert_eq!(live.stats().dbi_writebacks, fork.stats().dbi_writebacks);
+        assert_eq!(live.flush(), fork.flush());
     }
 
     #[test]

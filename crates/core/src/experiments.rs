@@ -12,7 +12,7 @@ use workloads::BenchProfile;
 
 use crate::report::Report;
 use crate::scheme::Scheme;
-use crate::system::SimBuilder;
+use crate::system::{SimBuilder, WarmSlot};
 
 /// Run-length and seed knobs shared by all experiments.
 #[derive(Debug, Clone, Copy)]
@@ -65,9 +65,15 @@ impl ExperimentConfig {
 /// [`SimBuilder::config_digest`] plus its name, so a run that several
 /// figures share simulates once. The name is part of the key because the
 /// digest leaves it out while the report carries it.
+///
+/// The store also keeps the newest functionally warmed cache image. A run
+/// whose warm-up would reproduce it (same apps, seed, warm-up length,
+/// hierarchy and DRAM view, whatever the scheme) starts from a copy of it
+/// instead of warming up again; its report is identical either way.
 #[derive(Debug, Default)]
 pub struct ReportStore {
     reports: HashMap<(u64, Option<String>), Report>,
+    warm: WarmSlot,
 }
 
 impl ReportStore {
@@ -82,14 +88,21 @@ impl ReportStore {
     ///
     /// Panics where [`SimBuilder::run`] does.
     pub fn report(&mut self, builder: &SimBuilder) -> &Report {
+        let warm = &mut self.warm;
         self.reports
             .entry((builder.config_digest(), builder.name.clone()))
-            .or_insert_with(|| builder.run())
+            .or_insert_with(|| builder.run_warm(warm))
     }
 
     /// How many simulations the store has run.
     pub fn simulations(&self) -> usize {
         self.reports.len()
+    }
+
+    /// How many of those simulations warmed their caches up from cold; the
+    /// rest started from the held warm image.
+    pub fn warmups(&self) -> usize {
+        self.warm.warmups
     }
 
     /// IPC of `profile` running alone on the baseline scheme under
@@ -329,6 +342,11 @@ pub fn scheme_comparison(
         .into_iter()
         .filter(|(n, _)| filter(n))
     {
+        // Alone runs first: the baseline and every scheme of the workload
+        // then share one warm image.
+        for app in &apps {
+            store.alone_ipc(cfg, app, policy);
+        }
         let workload = workload_builder(cfg, &name, &apps, policy);
         let base = store
             .report(&workload.clone().scheme(Scheme::Baseline))
@@ -354,9 +372,9 @@ pub fn scheme_comparison(
 }
 
 /// Figures 12 and 13: FGA vs Half-DRAM vs PRA under relaxed close-page,
-/// in a store of their own. Per workload this runs the baseline, then the
-/// alone-IPC runs its weighted speedup needs for the first time, then FGA,
-/// Half-DRAM and PRA.
+/// in a store of their own. Per workload this runs the alone-IPC runs its
+/// weighted speedup needs for the first time, then the baseline, FGA,
+/// Half-DRAM and PRA, which share one warm-up.
 pub fn fig12_13(cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
     fig12_13_with(&mut ReportStore::new(), cfg)
 }
@@ -614,5 +632,22 @@ mod tests {
         store.alone_ipc(&cfg, &workloads::gups(), PagePolicy::RelaxedClosePage);
         assert_eq!(store.simulations(), 1, "the alone run is the named run");
         assert_eq!(builder.run().state_digest(), digest);
+    }
+
+    #[test]
+    fn fig12_sweep_warms_up_once_per_distinct_image() {
+        let cfg = ExperimentConfig {
+            instructions: 200,
+            seed: 1,
+            warmup: Some(500),
+        };
+        let mut store = ReportStore::new();
+        fig12_13_with(&mut store, &cfg);
+        assert_eq!(store.simulations(), 14 * 4 + 8);
+        assert_eq!(
+            store.warmups(),
+            14 + 8,
+            "one per workload, one per alone run"
+        );
     }
 }

@@ -396,16 +396,9 @@ impl SimBuilder {
         }
     }
 
-    /// FNV-1a digest over every knob that shapes simulated state, stamped
-    /// into snapshot headers so a restore into a differently-configured
-    /// builder is rejected instead of silently diverging. Output paths and
-    /// trace sinks are excluded (they only observe); the *effective*
-    /// metrics epoch is included because epoch sealing mutates the
-    /// serialised observer.
-    pub fn config_digest(&self) -> u64 {
-        let mut w = sim_snap::SnapWriter::new();
-        w.section("pra-sim-config");
-        w.u32(1); // digest layout version
+    /// Writes the applications into a digest: profiles by their full
+    /// parameters, traces op by op.
+    fn write_apps(&self, w: &mut sim_snap::SnapWriter) {
         w.seq(self.apps.len());
         for app in &self.apps {
             match app {
@@ -437,6 +430,138 @@ impl SimBuilder {
                 }
             }
         }
+    }
+
+    /// Memory ops each core plays through the caches before the measured
+    /// phase.
+    fn effective_warmup(&self) -> u64 {
+        self.warmup_mem_ops
+            .unwrap_or(1_000_000 / self.apps.len() as u64)
+    }
+
+    /// FNV-1a digest over everything functional warm-up depends on: the
+    /// applications, seed and warm-up length, the whole hierarchy shape
+    /// (DBI and prefetch included), and the DRAM geometry and mapping DBI
+    /// groups rows by. Runs with equal keys warm up to identical caches and
+    /// generator positions, whatever their scheme, page policy timing,
+    /// faults or other DRAM-side knobs.
+    fn warm_key(&self, hierarchy: &HierarchyConfig, dram_view: &DramView) -> u64 {
+        let mut w = sim_snap::SnapWriter::new();
+        w.section("pra-warm-key");
+        self.write_apps(&mut w);
+        w.u64(self.seed);
+        w.u64(self.effective_warmup());
+        w.str(&format!("{hierarchy:?}"));
+        w.str(&format!("{dram_view:?}"));
+        sim_snap::codec::fnv1a_64(&w.into_bytes())
+    }
+
+    /// One generator per core, each over a disjoint 2 GB slice of the 8 GB
+    /// physical space, modelling separate address spaces.
+    fn generators(&self) -> Vec<Box<dyn InstructionSource>> {
+        self.apps
+            .iter()
+            .enumerate()
+            .map(|(core, spec)| {
+                spec.source(
+                    self.seed.wrapping_add(core as u64 * 0x1234_5678),
+                    (core as u64) << 31,
+                )
+            })
+            .collect()
+    }
+
+    /// Functional warm-up: plays each generator's prefix through the cache
+    /// hierarchy so the LLC holds a steady-state mix of (dirty) lines.
+    /// Writebacks produced during warm-up are dropped — no DRAM timing or
+    /// energy is involved.
+    fn warm_up(
+        &self,
+        hierarchy: &mut CacheHierarchy,
+        generators: &mut [Box<dyn InstructionSource>],
+    ) {
+        let warmup = self.effective_warmup();
+        for (core, generator) in generators.iter_mut().enumerate() {
+            let mut mem_ops = 0;
+            while mem_ops < warmup {
+                match generator.next_op() {
+                    cpu_sim::Op::Compute(_) => {}
+                    cpu_sim::Op::Load(a) => {
+                        hierarchy.access(core, a, None);
+                        mem_ops += 1;
+                    }
+                    cpu_sim::Op::Store(a, mask) => {
+                        hierarchy.access(core, a, Some(mask));
+                        mem_ops += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The warmed hierarchy and generators a run starts from. With a
+    /// `slot` whose image has this run's warm key, both are forked from the
+    /// image; otherwise they are warmed up cold and, with a slot, captured
+    /// as its new image.
+    #[expect(
+        clippy::expect_used,
+        reason = "the image's generator states were saved from generators built from the same apps and seed, which the warm key covers"
+    )]
+    fn warmed(
+        &self,
+        hierarchy_config: HierarchyConfig,
+        dram_view: DramView,
+        slot: Option<&mut WarmSlot>,
+    ) -> (CacheHierarchy, Vec<Box<dyn InstructionSource>>) {
+        let _prof = sim_prof::span!("sim.warmup");
+        let mut generators = self.generators();
+        let cold = |generators: &mut [Box<dyn InstructionSource>]| {
+            let mut hierarchy =
+                CacheHierarchy::with_dram_view(hierarchy_config, dram_view.0, dram_view.1);
+            self.warm_up(&mut hierarchy, generators);
+            hierarchy
+        };
+        let Some(slot) = slot else {
+            let hierarchy = cold(&mut generators);
+            return (hierarchy, generators);
+        };
+        let key = self.warm_key(&hierarchy_config, &dram_view);
+        if let Some(image) = slot.image.as_ref().filter(|image| image.key == key) {
+            let mut r = sim_snap::SnapReader::new(&image.generators);
+            for generator in &mut generators {
+                generator
+                    .snap_load_state(&mut r)
+                    .expect("generator state saved by this warm key");
+            }
+            return (image.hierarchy.fork(), generators);
+        }
+        // Drop the old image first, so at most two hierarchies are live.
+        slot.image = None;
+        let hierarchy = cold(&mut generators);
+        let mut w = sim_snap::SnapWriter::new();
+        for generator in &generators {
+            generator.snap_save_state(&mut w);
+        }
+        slot.image = Some(WarmImage {
+            key,
+            hierarchy: hierarchy.fork(),
+            generators: w.into_bytes(),
+        });
+        slot.warmups += 1;
+        (hierarchy, generators)
+    }
+
+    /// FNV-1a digest over every knob that shapes simulated state, stamped
+    /// into snapshot headers so a restore into a differently-configured
+    /// builder is rejected instead of silently diverging. Output paths and
+    /// trace sinks are excluded (they only observe); the *effective*
+    /// metrics epoch is included because epoch sealing mutates the
+    /// serialised observer.
+    pub fn config_digest(&self) -> u64 {
+        let mut w = sim_snap::SnapWriter::new();
+        w.section("pra-sim-config");
+        w.u32(1); // digest layout version
+        self.write_apps(&mut w);
         w.str(self.scheme.name());
         w.str(&format!("{:?}", self.policy));
         w.u64(self.instructions);
@@ -529,6 +654,22 @@ impl SimBuilder {
     /// half-configured and [`SimError::Snapshot`] when the restore file is
     /// missing, torn, corrupt or from a differently-configured run.
     pub fn try_run_snap(&self) -> Result<(Report, SnapOutcome), SimError> {
+        self.try_run_from(None)
+    }
+
+    /// [`Self::run`], starting from `slot`'s warm image when its warm key
+    /// matches this run's and replacing the image otherwise. The report is
+    /// identical to [`Self::run`]'s.
+    #[expect(
+        clippy::panic,
+        reason = "panics exactly where the documented `run` facade does"
+    )]
+    pub(crate) fn run_warm(&self, slot: &mut WarmSlot) -> Report {
+        self.try_run_from(Some(slot))
+            .map_or_else(|e| panic!("{e}"), |(report, _)| report)
+    }
+
+    fn try_run_from(&self, slot: Option<&mut WarmSlot>) -> Result<(Report, SnapOutcome), SimError> {
         if self.apps.is_empty() {
             return Err(SimError::NoApplications);
         }
@@ -571,11 +712,7 @@ impl SimBuilder {
         if let Some(age) = self.escalation_age {
             dram_config.starvation_escalation_age = age;
         }
-        let mut hierarchy = CacheHierarchy::with_dram_view(
-            hierarchy_config,
-            dram_config.geometry,
-            dram_config.mapping,
-        );
+        let dram_view = (dram_config.geometry, dram_config.mapping);
         let mut mem = MemorySystem::try_new(dram_config)?;
         mem.set_power_telemetry(self.power_telemetry);
         // A no-op plan attaches nothing: the injector-free fast path stays
@@ -584,42 +721,7 @@ impl SimBuilder {
         if let Some(plan) = &fault_plan {
             mem.set_fault_injector(plan.injector(Domain::Dram));
         }
-        // Give each core a disjoint 2 GB slice of the 8 GB physical space,
-        // modelling separate address spaces.
-        let mut generators: Vec<Box<dyn InstructionSource>> = self
-            .apps
-            .iter()
-            .enumerate()
-            .map(|(core, spec)| {
-                spec.source(
-                    self.seed.wrapping_add(core as u64 * 0x1234_5678),
-                    (core as u64) << 31,
-                )
-            })
-            .collect();
-        // Functional warmup: play each generator's prefix through the cache
-        // hierarchy so the LLC holds a steady-state mix of (dirty) lines,
-        // then reset statistics. Writebacks produced during warmup are
-        // dropped — no DRAM timing or energy is involved.
-        let warmup = self.warmup_mem_ops.unwrap_or(1_000_000 / cores as u64);
-        let warmup_prof = sim_prof::span!("sim.warmup");
-        for (core, generator) in generators.iter_mut().enumerate() {
-            let mut mem_ops = 0;
-            while mem_ops < warmup {
-                match generator.next_op() {
-                    cpu_sim::Op::Compute(_) => {}
-                    cpu_sim::Op::Load(a) => {
-                        hierarchy.access(core, a, None);
-                        mem_ops += 1;
-                    }
-                    cpu_sim::Op::Store(a, mask) => {
-                        hierarchy.access(core, a, Some(mask));
-                        mem_ops += 1;
-                    }
-                }
-            }
-        }
-        drop(warmup_prof);
+        let (mut hierarchy, generators) = self.warmed(hierarchy_config, dram_view, slot);
         hierarchy.reset_stats();
         // Cache-side faults start with the measured phase, after warmup, so
         // warmup cache contents are identical with and without a plan.
@@ -660,11 +762,7 @@ impl SimBuilder {
                 .set_trace_sink(Box::new(std::rc::Rc::clone(ring)));
             system.set_trace_sink(Box::new(std::rc::Rc::clone(ring)));
         }
-        let epoch = if self.metrics_epoch == 0 && self.metrics_out.is_some() {
-            100_000
-        } else {
-            self.metrics_epoch
-        };
+        let epoch = self.effective_metrics_epoch();
         if epoch > 0 {
             let out = match self.metrics_out.as_ref() {
                 Some(path) => {
@@ -788,6 +886,28 @@ impl SimBuilder {
         };
         Ok((report, snap))
     }
+}
+
+/// The DRAM geometry and address mapping the cache hierarchy's DBI groups
+/// rows by.
+type DramView = (mem_model::DramGeometry, mem_model::AddressMapping);
+
+/// A functionally warmed hierarchy and the generator positions warm-up
+/// left, for every run with the same warm key.
+#[derive(Debug)]
+struct WarmImage {
+    key: u64,
+    hierarchy: CacheHierarchy,
+    /// Each generator's `snap_save_state`, core by core.
+    generators: Vec<u8>,
+}
+
+/// Holds at most one [`WarmImage`] (the newest) and counts the cold
+/// warm-ups it has seen.
+#[derive(Debug, Default)]
+pub(crate) struct WarmSlot {
+    image: Option<WarmImage>,
+    pub(crate) warmups: usize,
 }
 
 impl Default for SimBuilder {
