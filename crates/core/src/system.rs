@@ -1253,13 +1253,7 @@ mod tests {
         let profiled = quick(Scheme::Pra);
         sim_prof::disable();
         let report = sim_prof::take_report();
-        for span in [
-            "sim.warmup",
-            "sim.run",
-            "cpu.tick",
-            "dram.tick",
-            "cache.access",
-        ] {
+        for span in ["sim.warmup", "sim.run", "dram.tick", "cache.access"] {
             assert!(
                 report.spans.iter().any(|s| s.name == span),
                 "expected span {span} in {:?}",

@@ -57,6 +57,17 @@ pub trait InstructionSource {
     }
 }
 
+/// What a core holds back because a resource was full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Deferred {
+    /// An op fetched but not yet issued; it is issued from the start.
+    Op(Op),
+    /// A demand load that missed both caches and whose DRAM read of this
+    /// line the read queue refused. The cache access already happened, so
+    /// only the read is retried.
+    Read(PhysAddr),
+}
+
 /// Static core parameters (paper Table 3: 8-way superscalar,
 /// LDQ/STQ/ROB = 32/32/192, 3.2 GHz).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +165,8 @@ pub struct Core {
     pub pending_writebacks: VecDeque<(PhysAddr, WordMask)>,
     /// Non-memory instructions remaining from the current [`Op::Compute`].
     pub pending_compute: u64,
-    /// An op fetched but not yet issued because a resource was full.
-    pub deferred: Option<Op>,
+    /// An op or DRAM read held back because a resource was full.
+    pub deferred: Option<Deferred>,
     /// Instruction count at which the core stops fetching.
     pub target: u64,
     /// Counters.
@@ -213,6 +224,12 @@ impl Core {
         self.next_timed_done = self.earliest_timed_done();
     }
 
+    /// A lower bound on the earliest cycle a timed operation completes
+    /// (`u64::MAX` when none is in flight).
+    pub fn next_timed_done(&self) -> u64 {
+        self.next_timed_done
+    }
+
     fn earliest_timed_done(&self) -> u64 {
         self.outstanding
             .iter()
@@ -256,37 +273,47 @@ impl Core {
     }
 }
 
-/// Writes one [`Op`] with a leading tag byte.
-pub(crate) fn save_op(w: &mut sim_snap::SnapWriter, op: Op) {
-    match op {
-        Op::Compute(n) => {
+/// Tag of a [`Deferred::Read`], after the three [`Op`] tags.
+const DEFERRED_READ_TAG: u8 = 3;
+
+/// Writes a [`Deferred`] with a leading tag byte: 0–2 for an op's kind, 3
+/// for a read.
+fn save_deferred(w: &mut sim_snap::SnapWriter, deferred: Deferred) {
+    match deferred {
+        Deferred::Op(Op::Compute(n)) => {
             w.u8(0);
             w.u32(n);
         }
-        Op::Load(a) => {
+        Deferred::Op(Op::Load(a)) => {
             w.u8(1);
             w.u64(a.raw());
         }
-        Op::Store(a, m) => {
+        Deferred::Op(Op::Store(a, m)) => {
             w.u8(2);
             w.u64(a.raw());
             w.u8(m.bits());
         }
+        Deferred::Read(line) => {
+            w.u8(DEFERRED_READ_TAG);
+            w.u64(line.raw());
+        }
     }
 }
 
-/// Reads one [`Op`] written by [`save_op`].
-pub(crate) fn load_op(r: &mut sim_snap::SnapReader<'_>) -> Result<Op, sim_snap::SnapError> {
-    match r.u8()? {
-        0 => Ok(Op::Compute(r.u32()?)),
-        1 => Ok(Op::Load(PhysAddr::new(r.u64()?))),
+/// Reads one [`Deferred`] written by [`save_deferred`].
+fn load_deferred(r: &mut sim_snap::SnapReader<'_>) -> Result<Deferred, sim_snap::SnapError> {
+    let op = match r.u8()? {
+        0 => Op::Compute(r.u32()?),
+        1 => Op::Load(PhysAddr::new(r.u64()?)),
         2 => {
             let addr = PhysAddr::new(r.u64()?);
             let mask = WordMask::from_bits(r.u8()?);
-            Ok(Op::Store(addr, mask))
+            Op::Store(addr, mask)
         }
-        tag => Err(sim_snap::SnapError::Decode(format!("unknown op tag {tag}"))),
-    }
+        DEFERRED_READ_TAG => return Ok(Deferred::Read(PhysAddr::new(r.u64()?))),
+        tag => return Err(sim_snap::SnapError::Decode(format!("unknown op tag {tag}"))),
+    };
+    Ok(Deferred::Op(op))
 }
 
 impl sim_snap::SnapState for Core {
@@ -307,8 +334,8 @@ impl sim_snap::SnapState for Core {
         }
         w.u64(self.pending_compute);
         w.bool(self.deferred.is_some());
-        if let Some(op) = self.deferred {
-            save_op(w, op);
+        if let Some(deferred) = self.deferred {
+            save_deferred(w, deferred);
         }
         w.u64(self.stats.retired);
         w.u64(self.stats.rob_stall_cycles);
@@ -341,7 +368,11 @@ impl sim_snap::SnapState for Core {
             self.pending_writebacks.push_back((addr, mask));
         }
         self.pending_compute = r.u64()?;
-        self.deferred = if r.bool()? { Some(load_op(r)?) } else { None };
+        self.deferred = if r.bool()? {
+            Some(load_deferred(r)?)
+        } else {
+            None
+        };
         self.stats.retired = r.u64()?;
         self.stats.rob_stall_cycles = r.u64()?;
         self.stats.ldq_stall_cycles = r.u64()?;
@@ -421,6 +452,26 @@ mod tests {
         assert_eq!(c.loads_in_flight(), 1);
         c.complete_ready(20);
         assert_eq!(c.loads_in_flight(), 0);
+    }
+
+    #[test]
+    fn deferred_ops_and_reads_survive_a_snapshot() {
+        use sim_snap::SnapState;
+        for deferred in [
+            Deferred::Op(Op::Store(PhysAddr::new(64), WordMask::single(3))),
+            Deferred::Read(PhysAddr::new(0x1240)),
+        ] {
+            let mut c = Core::new(CoreConfig::paper(), 10);
+            c.deferred = Some(deferred);
+            let mut w = sim_snap::SnapWriter::new();
+            c.snap_save(&mut w);
+            let bytes = w.into_bytes();
+            let mut restored = Core::new(CoreConfig::paper(), 10);
+            let mut r = sim_snap::SnapReader::new(&bytes);
+            restored.snap_load(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(restored.deferred, Some(deferred));
+        }
     }
 
     #[test]

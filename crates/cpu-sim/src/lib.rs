@@ -62,7 +62,7 @@ mod metrics;
 mod system;
 
 pub use crate::core::{
-    Core, CoreConfig, CoreStats, InstructionSource, Op, Outstanding, StallReason,
+    Core, CoreConfig, CoreStats, Deferred, InstructionSource, Op, Outstanding, StallReason,
 };
 pub use metrics::{energy_delay_product, weighted_speedup, CoreResult, SpeedupError};
 pub use system::{CpuSystem, RunOutcome, SystemConfig};

@@ -7,7 +7,7 @@ use dram_sim::MemorySystem;
 use mem_model::{MemRequest, RequestId};
 use sim_obs::{SinkHandle, StallKind, TraceEvent, TraceSink};
 
-use crate::core::{Core, CoreConfig, CoreStats, InstructionSource, Op};
+use crate::core::{Core, CoreConfig, CoreStats, Deferred, InstructionSource, Op, Outstanding};
 use crate::metrics::CoreResult;
 
 /// System-level parameters.
@@ -55,11 +55,55 @@ struct StallRun {
     len: u64,
 }
 
+/// A quiet core: one whose every tick until an event would repeat the last
+/// one, adding one cycle to a stall counter and changing nothing else. It
+/// is not ticked; the cycles it skips are added to that counter in bulk.
+#[derive(Debug, Clone, Copy)]
+struct Sleep {
+    /// First CPU cycle at which the core must be ticked again: its earliest
+    /// timed completion, or the next memory tick when the DRAM queues
+    /// refused it. At or below the current cycle for an awake core; a
+    /// completion for the core lowers it to the next cycle.
+    wake: u64,
+    /// First skipped cycle not yet added to the core's counters.
+    since: u64,
+    /// The stall counter each skipped cycle adds to; `None` for a finished
+    /// core, whose skipped cycles count nothing.
+    kind: Option<StallKind>,
+}
+
+impl Sleep {
+    const AWAKE: Sleep = Sleep {
+        wake: 0,
+        since: u64::MAX,
+        kind: None,
+    };
+}
+
+/// Where a core's tick stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// It used its issue width, finished, or stalled on its store buffer
+    /// before issuing: the state after the tick tells the rest.
+    Ran,
+    /// Blocked on a resource that only a completion frees.
+    Blocked(StallKind),
+    /// The read queue refused its demand read; a memory tick may free it.
+    ReadRefused,
+}
+
 /// A complete simulated machine: N cores with private L1s, a shared L2 and
 /// a DDR3 memory system.
 ///
-/// Ticks CPU cycles; every `cpu_per_mem_clock` CPU cycles the DRAM advances
-/// one memory cycle and read completions unblock waiting cores.
+/// Runs CPU cycles; every `cpu_per_mem_clock` CPU cycles the DRAM advances
+/// one memory cycle and read completions unblock waiting cores. Cores are
+/// event-driven: a core that is finished or blocked, and whose writebacks
+/// are all enqueued or refused, sleeps until a completion for it, its
+/// earliest timed completion or (when the DRAM queues refused it) the next
+/// memory tick. When every core sleeps the clock jumps ahead to the next
+/// wake-up or memory tick. Skipped cycles add to the same stall counters
+/// the cycle-by-cycle ticks would, so every statistic, checkpoint and trace
+/// event is unchanged.
 pub struct CpuSystem {
     config: SystemConfig,
     cores: Vec<Core>,
@@ -74,6 +118,9 @@ pub struct CpuSystem {
     completed: Vec<RequestId>,
     sink: SinkHandle,
     stall_runs: Vec<Option<StallRun>>,
+    /// Per core; runtime state rebuilt as all-awake on restore, since the
+    /// counters are settled whenever control leaves the run loop.
+    sleeps: Vec<Sleep>,
 }
 
 impl CpuSystem {
@@ -97,6 +144,7 @@ impl CpuSystem {
             "one source per core is required"
         );
         let stall_runs = vec![None; sources.len()];
+        let sleeps = vec![Sleep::AWAKE; sources.len()];
         let cores = (0..sources.len())
             .map(|_| Core::new(config.core, instructions_per_core))
             .collect();
@@ -112,6 +160,7 @@ impl CpuSystem {
             completed: Vec::new(),
             sink: SinkHandle::disabled(),
             stall_runs,
+            sleeps,
         }
     }
 
@@ -213,14 +262,16 @@ impl CpuSystem {
                 timed_out = true;
                 break;
             }
-            self.try_tick_cpu_cycle()?;
+            self.try_advance(max_cpu_cycles)?;
             if every_cpu > 0 && self.cpu_cycle.is_multiple_of(every_cpu) {
+                self.settle_all();
                 let mem_cycle = self.mem.cycle();
                 if !on_checkpoint(self, mem_cycle) {
                     return Ok(self.outcome(true));
                 }
             }
         }
+        self.settle_all();
         // Drain outstanding DRAM work so energy accounting closes out.
         let spare = max_cpu_cycles.saturating_sub(self.cpu_cycle) / self.config.cpu_per_mem_clock;
         self.mem.try_run_until_idle(spare.max(100_000))?;
@@ -244,53 +295,155 @@ impl CpuSystem {
         }
     }
 
-    /// Advances one CPU cycle (and the DRAM clock on its divisor).
+    /// Advances one CPU cycle (and the DRAM clock on its divisor), with
+    /// every core's counters settled afterwards.
     ///
     /// # Panics
     ///
     /// Panics on a DRAM protocol or liveness violation.
     #[cfg(test)]
     pub(crate) fn tick_cpu_cycle(&mut self) {
-        self.try_tick_cpu_cycle()
-            .unwrap_or_else(|e| panic!("DRAM {e}"))
+        self.try_advance(self.cpu_cycle + 1)
+            .unwrap_or_else(|e| panic!("DRAM {e}"));
+        self.settle_all();
     }
 
-    /// Advances one CPU cycle (and the DRAM clock on its divisor).
+    /// Runs the next CPU cycle in which a core wakes, ticking the awake
+    /// cores, or, when every core sleeps, jumps to the earliest wake-up,
+    /// capped by the next memory tick and by `limit`. On a memory-tick
+    /// boundary the DRAM then advances one memory cycle and its read
+    /// completions wake the cores they belong to.
     ///
     /// # Errors
     ///
     /// Returns the [`dram_sim::TickError`] raised by the memory system's
     /// protocol checker or liveness watchdogs, if any.
-    pub(crate) fn try_tick_cpu_cycle(&mut self) -> Result<(), dram_sim::TickError> {
-        let _prof = sim_prof::span!("cpu.tick");
-        self.hierarchy.set_now(self.cpu_cycle);
-        let tracing = self.sink.tracing();
-        for core_idx in 0..self.cores.len() {
-            if tracing {
-                let before = self.cores[core_idx].stats;
-                self.tick_core(core_idx);
-                self.track_stall(core_idx, before);
-            } else {
-                self.tick_core(core_idx);
+    fn try_advance(&mut self, limit: u64) -> Result<(), dram_sim::TickError> {
+        let now = self.cpu_cycle;
+        let next_wake = self.sleeps.iter().map(|s| s.wake).min().unwrap_or(0);
+        if next_wake > now {
+            let to = next_wake.min(self.next_mem_tick()).min(limit);
+            // The hierarchy's clock is serialized: leave it where the
+            // skipped cycles would have left it.
+            self.hierarchy.set_now(to - 1);
+            self.cpu_cycle = to;
+        } else {
+            self.hierarchy.set_now(now);
+            let tracing = self.sink.tracing();
+            for idx in 0..self.cores.len() {
+                if self.sleeps[idx].wake > now {
+                    continue;
+                }
+                self.settle(idx, now);
+                let before = tracing.then(|| self.cores[idx].stats);
+                let (stop, wb_refused) = self.tick_core(idx);
+                if let Some(before) = before {
+                    self.track_stall(idx, before);
+                }
+                self.sleeps[idx] = self.sleep_after_tick(idx, stop, wb_refused, tracing);
             }
+            self.cpu_cycle += 1;
         }
-        self.cpu_cycle += 1;
         if self.cpu_cycle.is_multiple_of(self.config.cpu_per_mem_clock) {
             if self.mem.epoch_closes_next_tick() {
                 // Fold cache and core counters into the registry before the
                 // memory system seals the epoch, so their deltas land in the
                 // same snapshot as the DRAM counters.
+                self.settle_all();
                 self.publish_cpu_metrics();
             }
             self.completed.clear();
             self.completed.extend_from_slice(self.mem.try_tick()?);
+            let next = self.cpu_cycle;
             for id in &self.completed {
                 if let Some(core) = self.req_owner.remove(id) {
                     self.cores[core].complete_request(*id);
+                    let wake = &mut self.sleeps[core].wake;
+                    *wake = (*wake).min(next);
                 }
             }
         }
         Ok(())
+    }
+
+    /// Whether core `idx`, just ticked at the current cycle, is quiet and
+    /// until when. It is quiet when its next tick would only add one cycle
+    /// to one stall counter: it is finished, ROB-blocked, waiting on a full
+    /// load queue, store buffer or read queue, and its writeback buffer is
+    /// empty or had its front refused by the write queue this tick.
+    /// Writebacks appended after the drain have not been offered yet, so
+    /// they keep the core awake, as does a stall that would open a new
+    /// trace episode.
+    fn sleep_after_tick(&self, idx: usize, stop: Stop, wb_refused: bool, tracing: bool) -> Sleep {
+        let core = &self.cores[idx];
+        if !wb_refused && !core.pending_writebacks.is_empty() {
+            return Sleep::AWAKE;
+        }
+        // The order of `tick_core`'s own checks.
+        let kind = if core.pending_writebacks.len() >= core.config.stq {
+            Some(StallKind::StoreBuffer)
+        } else if core.finished() {
+            None
+        } else {
+            match stop {
+                Stop::Ran => return Sleep::AWAKE,
+                Stop::Blocked(kind) => Some(kind),
+                Stop::ReadRefused => Some(StallKind::Ldq),
+            }
+        };
+        if tracing && self.stall_runs[idx].map(|run| run.kind) != kind {
+            return Sleep::AWAKE;
+        }
+        let mut wake = core.next_timed_done();
+        if wb_refused || stop == Stop::ReadRefused {
+            // The DRAM queues only drain on a memory tick.
+            wake = wake.min(self.next_mem_tick());
+        }
+        Sleep {
+            wake,
+            since: self.cpu_cycle.saturating_add(1),
+            kind,
+        }
+    }
+
+    /// The first CPU cycle after the next memory tick.
+    fn next_mem_tick(&self) -> u64 {
+        let per_mem = self.config.cpu_per_mem_clock;
+        (self.cpu_cycle / per_mem + 1) * per_mem
+    }
+
+    /// Adds the cycles core `idx` skipped before `now` to its stall counter
+    /// and, when tracing, to its open stall episode (of the same kind, or
+    /// the core would not have slept).
+    fn settle(&mut self, idx: usize, now: u64) {
+        let sleep = &mut self.sleeps[idx];
+        if now <= sleep.since {
+            return;
+        }
+        let skipped = now - sleep.since;
+        sleep.since = now;
+        let stats = &mut self.cores[idx].stats;
+        match sleep.kind {
+            Some(StallKind::Rob) => stats.rob_stall_cycles += skipped,
+            Some(StallKind::Ldq) => stats.ldq_stall_cycles += skipped,
+            Some(StallKind::StoreBuffer) => stats.store_stall_cycles += skipped,
+            None => {}
+        }
+        if self.sink.tracing() {
+            if let Some(run) = &mut self.stall_runs[idx] {
+                debug_assert_eq!(Some(run.kind), sleep.kind);
+                run.len += skipped;
+            }
+        }
+    }
+
+    /// Settles every core up to the current cycle, so the counters, stall
+    /// episodes and snapshots read what the cycle-by-cycle ticks would
+    /// have left.
+    fn settle_all(&mut self) {
+        for idx in 0..self.cores.len() {
+            self.settle(idx, self.cpu_cycle);
+        }
     }
 
     /// Classifies the cycle a core just executed: a stall cycle extends (or
@@ -394,38 +547,26 @@ impl CpuSystem {
         self.mem.finish_observability();
     }
 
-    fn tick_core(&mut self, idx: usize) {
+    /// Runs core `idx` for the current cycle. Returns where it stopped and
+    /// whether the write queue refused its front writeback.
+    fn tick_core(&mut self, idx: usize) -> (Stop, bool) {
         let now = self.cpu_cycle;
         self.cores[idx].complete_ready(now);
-
-        // Drain pending writebacks toward the DRAM write queue.
-        while let Some(&(addr, mask)) = self.cores[idx].pending_writebacks.front() {
-            let id = self.next_req_id;
-            let req = MemRequest::write(id, addr, mask).with_core(idx);
-            if self.mem.try_enqueue(req).is_ok() {
-                self.next_req_id += 1;
-                self.cores[idx].pending_writebacks.pop_front();
-            } else {
-                break;
-            }
-        }
+        let wb_refused = self.drain_writebacks(idx);
         let stq = self.cores[idx].config.stq;
         if self.cores[idx].pending_writebacks.len() >= stq {
             self.cores[idx].stats.store_stall_cycles += 1;
-            return;
+            return (Stop::Ran, wb_refused);
         }
 
-        if self.cores[idx].finished() {
-            return; // fetched enough; let in-flight work drain
-        }
-
-        let mut slots = u64::from(self.cores[idx].config.width);
+        let width = u64::from(self.cores[idx].config.width);
+        let mut slots = width;
         while slots > 0 && !self.cores[idx].finished() {
             if self.cores[idx].rob_blocked() {
-                if slots == u64::from(self.cores[idx].config.width) {
+                if slots == width {
                     self.cores[idx].stats.rob_stall_cycles += 1;
                 }
-                break;
+                return (Stop::Blocked(StallKind::Rob), wb_refused);
             }
             // Compute backlog first.
             if self.cores[idx].pending_compute > 0 {
@@ -436,30 +577,52 @@ impl CpuSystem {
                 continue;
             }
             let op = match self.cores[idx].deferred.take() {
-                Some(op) => op,
+                Some(Deferred::Read(line)) => {
+                    if !self.issue_demand_read(idx, line, now, &mut slots) {
+                        return (Stop::ReadRefused, wb_refused);
+                    }
+                    continue;
+                }
+                Some(Deferred::Op(op)) => op,
                 None => self.sources[idx].next_op(),
             };
-            match op {
-                Op::Compute(0) => continue,
+            let issued = match op {
+                Op::Compute(0) => true,
                 Op::Compute(n) => {
                     self.cores[idx].pending_compute = u64::from(n);
+                    true
                 }
-                Op::Load(addr) => {
-                    if !self.issue_load(idx, addr, now, &mut slots) {
-                        break;
-                    }
-                }
-                Op::Store(addr, mask) => {
-                    if !self.issue_store(idx, addr, mask, now, &mut slots) {
-                        break;
-                    }
-                }
+                Op::Load(addr) => self.issue_load(idx, addr, now, &mut slots),
+                Op::Store(addr, mask) => self.issue_store(idx, addr, mask, now, &mut slots),
+            };
+            if !issued {
+                let stop = match self.cores[idx].deferred {
+                    Some(Deferred::Read(_)) => Stop::ReadRefused,
+                    Some(Deferred::Op(Op::Store(..))) => Stop::Blocked(StallKind::StoreBuffer),
+                    _ => Stop::Blocked(StallKind::Ldq),
+                };
+                return (stop, wb_refused);
             }
         }
+        (Stop::Ran, wb_refused)
     }
 
-    /// Issues a load; returns `false` (with the op deferred) on a full
-    /// resource.
+    /// Offers core `idx`'s pending writebacks to the DRAM write queue,
+    /// oldest first, until it refuses one. Returns whether it refused.
+    fn drain_writebacks(&mut self, idx: usize) -> bool {
+        while let Some(&(addr, mask)) = self.cores[idx].pending_writebacks.front() {
+            let req = MemRequest::write(self.next_req_id, addr, mask).with_core(idx);
+            if self.mem.try_enqueue(req).is_err() {
+                return true;
+            }
+            self.next_req_id += 1;
+            self.cores[idx].pending_writebacks.pop_front();
+        }
+        false
+    }
+
+    /// Issues a load; returns `false` (with the op or its DRAM read
+    /// deferred) on a full load queue or read queue.
     fn issue_load(
         &mut self,
         idx: usize,
@@ -468,15 +631,15 @@ impl CpuSystem {
         slots: &mut u64,
     ) -> bool {
         if self.cores[idx].loads_in_flight() >= self.cores[idx].config.ldq {
-            self.cores[idx].deferred = Some(Op::Load(addr));
+            self.cores[idx].deferred = Some(Deferred::Op(Op::Load(addr)));
             self.cores[idx].stats.ldq_stall_cycles += 1;
             return false;
         }
         let access = self.hierarchy.access(idx, addr, None);
         self.cores[idx].pending_writebacks.extend(access.writebacks);
         self.issue_prefetch(idx, access.prefetch_read);
-        let (l1_lat, l2_lat) = self.hierarchy.latencies();
-        let _ = l1_lat; // L1 hits are fully hidden by the OoO window
+        // L1 hits are fully hidden by the OoO window.
+        let (_, l2_lat) = self.hierarchy.latencies();
         match access.level {
             HitLevel::L1 => {
                 self.cores[idx].stats.loads_by_level[0] += 1;
@@ -484,7 +647,7 @@ impl CpuSystem {
             HitLevel::L2 => {
                 self.cores[idx].stats.loads_by_level[1] += 1;
                 let retired = self.cores[idx].stats.retired;
-                self.cores[idx].push_outstanding(crate::core::Outstanding {
+                self.cores[idx].push_outstanding(Outstanding {
                     done_at: Some(now + l2_lat),
                     req_id: None,
                     issued_at_retired: retired,
@@ -499,27 +662,42 @@ impl CpuSystem {
                 let line = access
                     .fill_read
                     .expect("memory-level access carries a fill");
-                let id = self.next_req_id;
-                let req = MemRequest::read(id, line).with_core(idx);
-                if self.mem.try_enqueue(req).is_err() {
-                    // Roll forward next cycle; the cache state already
-                    // updated, so a retry will hit L2 and wait there.
-                    self.cores[idx].deferred = Some(Op::Load(addr));
-                    self.cores[idx].stats.ldq_stall_cycles += 1;
-                    return false;
-                }
-                self.next_req_id += 1;
-                self.req_owner.insert(id, idx);
-                self.cores[idx].stats.loads_by_level[2] += 1;
-                let retired = self.cores[idx].stats.retired;
-                self.cores[idx].push_outstanding(crate::core::Outstanding {
-                    done_at: None,
-                    req_id: Some(id),
-                    issued_at_retired: retired,
-                    blocking: true,
-                });
+                return self.issue_demand_read(idx, line, now, slots);
             }
         }
+        self.cores[idx].retire(1, now);
+        *slots -= 1;
+        true
+    }
+
+    /// Enqueues the DRAM read of a load that missed both caches, which
+    /// then retires and stays outstanding until the read completes. When
+    /// the read queue is full, only the read is deferred: the cache access
+    /// already happened and is not repeated.
+    fn issue_demand_read(
+        &mut self,
+        idx: usize,
+        line: mem_model::PhysAddr,
+        now: u64,
+        slots: &mut u64,
+    ) -> bool {
+        let id = self.next_req_id;
+        let req = MemRequest::read(id, line).with_core(idx);
+        if self.mem.try_enqueue(req).is_err() {
+            self.cores[idx].deferred = Some(Deferred::Read(line));
+            self.cores[idx].stats.ldq_stall_cycles += 1;
+            return false;
+        }
+        self.next_req_id += 1;
+        self.req_owner.insert(id, idx);
+        self.cores[idx].stats.loads_by_level[2] += 1;
+        let retired = self.cores[idx].stats.retired;
+        self.cores[idx].push_outstanding(Outstanding {
+            done_at: None,
+            req_id: Some(id),
+            issued_at_retired: retired,
+            blocking: true,
+        });
         self.cores[idx].retire(1, now);
         *slots -= 1;
         true
@@ -537,7 +715,7 @@ impl CpuSystem {
             self.next_req_id += 1;
             self.req_owner.insert(id, idx);
             let retired = self.cores[idx].stats.retired;
-            self.cores[idx].push_outstanding(crate::core::Outstanding {
+            self.cores[idx].push_outstanding(Outstanding {
                 done_at: None,
                 req_id: Some(id),
                 issued_at_retired: retired,
@@ -557,7 +735,7 @@ impl CpuSystem {
         slots: &mut u64,
     ) -> bool {
         if self.cores[idx].store_fills_in_flight() >= self.cores[idx].config.stq {
-            self.cores[idx].deferred = Some(Op::Store(addr, mask));
+            self.cores[idx].deferred = Some(Deferred::Op(Op::Store(addr, mask)));
             self.cores[idx].stats.store_stall_cycles += 1;
             return false;
         }
@@ -573,7 +751,7 @@ impl CpuSystem {
                 self.next_req_id += 1;
                 self.req_owner.insert(id, idx);
                 let retired = self.cores[idx].stats.retired;
-                self.cores[idx].push_outstanding(crate::core::Outstanding {
+                self.cores[idx].push_outstanding(Outstanding {
                     done_at: None,
                     req_id: Some(id),
                     issued_at_retired: retired,
@@ -705,6 +883,7 @@ impl sim_snap::SnapState for CpuSystem {
                 None
             };
         }
+        self.sleeps.fill(Sleep::AWAKE);
         self.hierarchy.snap_load(r)?;
         self.mem.snap_load(r)?;
         Ok(())
@@ -910,6 +1089,43 @@ mod tests {
             sys.cores()[0].stats.loads_by_level[2] > 0,
             "loads reached memory"
         );
+    }
+
+    #[test]
+    fn a_refused_demand_read_is_retried_not_turned_into_a_cache_hit() {
+        // Two read-queue slots per channel against a 32-entry load queue:
+        // the read queue refuses demand reads all the time. A refused read
+        // is retried as a read; the load must not hit the L1 it already
+        // filled and skip DRAM.
+        struct RandomLoads(u64);
+        impl InstructionSource for RandomLoads {
+            fn next_op(&mut self) -> Op {
+                self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
+                Op::Load(PhysAddr::new((self.0 >> 16) % (1 << 31)))
+            }
+        }
+        let mut dram =
+            DramConfig::paper_baseline(PagePolicy::RelaxedClosePage, SchemeBehavior::baseline());
+        dram.queues.read_capacity = 2;
+        let hierarchy = CacheHierarchy::new(HierarchyConfig::paper(1));
+        assert!(!hierarchy.config().prefetch_next_line);
+        let mem = MemorySystem::new(dram);
+        let sources: Vec<Box<dyn InstructionSource>> = vec![Box::new(RandomLoads(3))];
+        let mut sys = CpuSystem::new(SystemConfig::paper(), hierarchy, mem, sources, 4_000);
+        let mut refusals = 0;
+        while !sys.cores()[0].finished() {
+            sys.tick_cpu_cycle();
+            if matches!(sys.cores()[0].deferred, Some(Deferred::Read(_))) {
+                refusals += 1;
+            }
+        }
+        let out = sys.run(50_000_000);
+        assert!(!out.timed_out);
+        let misses = sys.hierarchy().stats().l2_misses;
+        assert!(misses > 100);
+        assert_eq!(sys.cores()[0].stats.loads_by_level[2], misses);
+        assert_eq!(sys.mem().stats().reads_completed, misses);
+        assert!(refusals > 0, "the read queue must refuse some reads");
     }
 
     #[test]

@@ -92,6 +92,10 @@ pub(crate) struct Channel {
     pub write_q: Vec<QueueEntry>,
     inflight_reads: Vec<InflightRead>,
     inflight_write_ends: Vec<u64>,
+    /// The earliest `done_at` or write end in flight (`u64::MAX` when
+    /// none): until then no transfer completes. A cache of the two lists,
+    /// recomputed on restore and never serialized.
+    next_transfer_done: u64,
     drain_mode: bool,
     bus: DataBus,
     next_col_allowed: u64,
@@ -132,6 +136,7 @@ impl Channel {
             write_q: Vec::with_capacity(cfg.queues.write_capacity),
             inflight_reads: Vec::new(),
             inflight_write_ends: Vec::new(),
+            next_transfer_done: u64::MAX,
             drain_mode: false,
             bus: DataBus::new(),
             next_col_allowed: 0,
@@ -310,15 +315,15 @@ impl Channel {
             .as_ref()
             .map_or(cfg.timing.trefi, |f| f.effective_trefi(cfg.timing.trefi));
         // 1. Housekeeping: refresh expiry, auto-precharges, data completions.
-        let fsm_prof = sim_prof::span!("dram.bank_fsm");
         for rank in &mut self.ranks {
             rank.finish_refresh_if_done(now);
             rank.update_refresh_due(now, trefi);
         }
-        // Only an open bank can carry a pending auto-precharge (activate and
-        // precharge both clear it), so visiting the open banks in (rank,
-        // bank) order fires the same precharges in the same order.
-        for flat in bits(self.masks.open()) {
+        // Only banks whose column command armed an auto-precharge (which
+        // only restricted close-page does) can fire one, so visiting them
+        // in (rank, bank) order fires the same precharges in the same order
+        // as visiting every open bank.
+        for flat in bits(self.masks.armed()) {
             let (r, b) = self.masks.split(flat);
             if self.ranks[r].banks[b].tick_auto_precharge(now, &cfg.timing) {
                 self.masks.set_closed(r as u32, b as u32);
@@ -340,7 +345,6 @@ impl Channel {
             }
         }
         self.complete_transfers(now, stats, o, completed);
-        drop(fsm_prof);
 
         // 2. Write-drain hysteresis (48/16 watermarks) plus opportunistic
         //    draining when no reads are waiting.
@@ -360,14 +364,12 @@ impl Channel {
         self.update_escalation(now, cfg);
 
         // 3. One command-bus slot per cycle, in priority order.
-        let sched_prof = sim_prof::span!("dram.sched_pick");
         let issued = self.refresh_commands(now, cfg, stats, energy, o)?
             || self.issue_column(now, cfg, stats, energy, o, faults)?
             || self.issue_activate(now, cfg, stats, energy, o, faults)?
             || self.issue_precharge_for_pending(now, cfg, stats, o)?
             || self.issue_idle_close(now, cfg, stats, o)?;
         let _ = issued;
-        drop(sched_prof);
 
         // 4. Power-down entry for idle ranks (relaxed policy only; CKE is
         //    not a command-bus command).
@@ -401,6 +403,9 @@ impl Channel {
         o: &mut DramObs,
         completed: &mut Vec<RequestId>,
     ) {
+        if now < self.next_transfer_done {
+            return;
+        }
         let ch = self.index;
         let mut i = 0;
         while i < self.inflight_reads.len() {
@@ -423,6 +428,15 @@ impl Channel {
         let before = self.inflight_write_ends.len();
         self.inflight_write_ends.retain(|&end| end > now);
         stats.writes_completed += (before - self.inflight_write_ends.len()) as u64;
+        self.next_transfer_done = self.earliest_transfer_done();
+    }
+
+    fn earliest_transfer_done(&self) -> u64 {
+        let reads = self.inflight_reads.iter().map(|f| f.done_at);
+        reads
+            .chain(self.inflight_write_ends.iter().copied())
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Whether any queued request targets rank `r`.
@@ -753,6 +767,7 @@ impl Channel {
                 .reserve(now + cfg.timing.wl, end, Dir::Write, entry.loc.rank);
             energy.write_line(cfg.scheme.write_io_fraction(entry.req.mask));
             self.inflight_write_ends.push(end);
+            self.next_transfer_done = self.next_transfer_done.min(end);
             o.obs.emit(|| TraceEvent::Write {
                 cycle: now,
                 channel: ch,
@@ -778,6 +793,7 @@ impl Channel {
                 done_at: end,
                 enqueued_at: entry.enqueued_at,
             });
+            self.next_transfer_done = self.next_transfer_done.min(end);
             o.obs.emit(|| TraceEvent::Read {
                 cycle: now,
                 channel: ch,
@@ -796,6 +812,7 @@ impl Channel {
         }
         if matches!(cfg.policy, PagePolicy::RestrictedClosePage) {
             bank.arm_auto_precharge();
+            self.masks.set_armed(loc.rank, loc.bank);
         }
         if let Some(rec) = self.recovery.as_mut() {
             rec.on_success(loc.rank, loc.bank, loc.row);
@@ -1240,11 +1257,12 @@ impl Channel {
             .fold(0, |mask, flat| mask | 1 << flat)
     }
 
-    /// Whether the bitmasks equal a fresh rebuild from the queues and banks
-    /// they cache.
+    /// Whether the bitmasks and the earliest transfer end equal a fresh
+    /// rebuild from the queues, banks and in-flight lists they cache.
     #[cfg(test)]
-    pub(crate) fn masks_consistent(&self) -> bool {
+    pub(crate) fn caches_consistent(&self) -> bool {
         self.masks == BankMasks::rebuild(&self.ranks, &self.read_q, &self.write_q)
+            && self.next_transfer_done == self.earliest_transfer_done()
     }
 }
 
@@ -1384,6 +1402,7 @@ impl sim_snap::SnapState for Channel {
             let end = r.u64()?;
             self.inflight_write_ends.push(end);
         }
+        self.next_transfer_done = self.earliest_transfer_done();
         self.drain_mode = r.bool()?;
         self.bus.busy_until = r.u64()?;
         self.bus.last_dir = match r.u8()? {

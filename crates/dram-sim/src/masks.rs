@@ -1,5 +1,6 @@
-//! Per-channel bank bitmasks: which banks hold an open row, which have
-//! queued reads or writes, and which have queued work on their open row.
+//! Per-channel bank bitmasks: which banks hold an open row, which of those
+//! have an armed auto-precharge, which have queued reads or writes, and
+//! which have queued work on their open row.
 //! Alongside them, each queue's `(bank, row)` targets packed into one word
 //! per entry, so scans and row counts read 8 bytes per entry instead of a
 //! whole queue entry.
@@ -34,6 +35,8 @@ pub(crate) struct BankMasks {
     has_queued: [u64; 2],
     /// Banks holding an open row (including one still activating).
     open: u64,
+    /// Open banks with an armed auto-precharge.
+    armed: u64,
     /// Each open bank's row; 0 for closed banks.
     open_row: Vec<u32>,
     /// Queued entries per open bank that target its open row.
@@ -54,6 +57,7 @@ impl BankMasks {
             queued: vec![[0; 2]; banks],
             has_queued: [0; 2],
             open: 0,
+            armed: 0,
             open_row: vec![0; banks],
             hits: vec![[0; 2]; banks],
             has_hits: [0; 2],
@@ -68,6 +72,9 @@ impl BankMasks {
             for (b, bank) in rank.banks.iter().enumerate() {
                 if let Some(open) = bank.open {
                     masks.set_open(r as u32, b as u32, open.row);
+                }
+                if bank.auto_precharge_at.is_some() {
+                    masks.set_armed(r as u32, b as u32);
                 }
             }
         }
@@ -147,6 +154,7 @@ impl BankMasks {
     pub fn set_open(&mut self, rank: u32, bank: u32, row: u32) {
         let i = self.flat(rank, bank);
         self.open |= 1 << i;
+        self.armed &= !(1 << i);
         self.open_row[i] = row;
         let key = Self::key(i, row);
         for q in 0..2 {
@@ -183,10 +191,17 @@ impl BankMasks {
             .map(|(index, _)| index)
     }
 
+    /// Records a column command arming an auto-precharge (activate and
+    /// precharge disarm it).
+    pub fn set_armed(&mut self, rank: u32, bank: u32) {
+        self.armed |= 1 << self.flat(rank, bank);
+    }
+
     /// Records a precharge.
     pub fn set_closed(&mut self, rank: u32, bank: u32) {
         let i = self.flat(rank, bank);
         self.open &= !(1 << i);
+        self.armed &= !(1 << i);
         self.open_row[i] = 0;
         self.hits[i] = [0; 2];
         for has_hits in &mut self.has_hits {
@@ -207,6 +222,11 @@ impl BankMasks {
     /// Banks holding an open row.
     pub fn open(&self) -> u64 {
         self.open
+    }
+
+    /// Open banks with an armed auto-precharge.
+    pub fn armed(&self) -> u64 {
+        self.armed
     }
 
     /// Open banks with queued reads (`false`) or writes (`true`) on their

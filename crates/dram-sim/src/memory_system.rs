@@ -1318,12 +1318,12 @@ mod tests {
         }
     }
 
-    fn masks_consistent(mem: &MemorySystem) -> bool {
-        mem.channels.iter().all(Channel::masks_consistent)
+    fn caches_consistent(mem: &MemorySystem) -> bool {
+        mem.channels.iter().all(Channel::caches_consistent)
     }
 
     #[test]
-    fn bank_masks_match_a_rebuild_after_every_tick() {
+    fn bank_masks_and_transfer_ends_match_a_rebuild_after_every_tick() {
         use sim_fault::{Domain, FaultPlan};
         use sim_snap::SnapState;
         let chaos = FaultPlan::from_toml_str(include_str!("../../../docs/faults/chaos.toml"))
@@ -1364,7 +1364,7 @@ mod tests {
             for _ in 0..8_000 {
                 feed_random(&mut live, &mut rng, &mut id);
                 live.tick();
-                assert!(masks_consistent(&live), "{label}: cycle {}", live.cycle());
+                assert!(caches_consistent(&live), "{label}: cycle {}", live.cycle());
             }
             assert!(
                 live.stats().activations > 0 && live.pending() > 0,
@@ -1377,14 +1377,18 @@ mod tests {
             let mut fresh = build(&cfg);
             let mut r = sim_snap::SnapReader::new(&bytes);
             fresh.snap_load(&mut r).unwrap();
-            assert!(masks_consistent(&fresh), "{label}: after restore");
+            assert!(caches_consistent(&fresh), "{label}: after restore");
             let (mut rng2, mut id2) = (rng, id);
             for _ in 0..500 {
                 feed_random(&mut live, &mut rng, &mut id);
                 feed_random(&mut fresh, &mut rng2, &mut id2);
                 let a = live.tick().to_vec();
                 assert_eq!(a, fresh.tick(), "{label}: cycle {}", live.cycle());
-                assert!(masks_consistent(&fresh), "{label}: cycle {}", fresh.cycle());
+                assert!(
+                    caches_consistent(&fresh),
+                    "{label}: cycle {}",
+                    fresh.cycle()
+                );
             }
         }
     }

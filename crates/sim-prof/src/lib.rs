@@ -6,9 +6,9 @@
 //!   a thread-local stack and roll up into a [`ProfileReport`] with
 //!   per-span call counts and self/child time attribution. Span names
 //!   follow the same `domain.name` convention as docs/metrics.md
-//!   (`dram.tick`, `cpu.tick`, `cache.access`...). Profiling is off by
-//!   default; while off a span site costs one thread-local read and never
-//!   touches the clock, so simulation state cannot depend on it.
+//!   (`dram.tick`, `cache.access`...). Profiling is off by default;
+//!   while off a span site costs one thread-local read and never touches
+//!   the clock, so simulation state cannot depend on it.
 //! * **Perfetto exporter** — [`PerfettoTrace`] serializes profiler span
 //!   timelines and sim-obs DRAM/CPU trace events into one Chrome
 //!   trace-event JSON file with the two clock domains on separate
