@@ -305,7 +305,6 @@ impl CacheHierarchy {
     ///
     /// Panics if `core` is out of range or a store mask is empty.
     pub fn access(&mut self, core: usize, addr: PhysAddr, store: Option<WordMask>) -> Access {
-        let _prof = sim_prof::span!("cache.access");
         let a = addr.line_aligned();
         if let Some(mask) = store {
             assert!(!mask.is_empty(), "a store must dirty at least one word");

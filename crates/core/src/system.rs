@@ -49,6 +49,12 @@ pub enum DramGeneration {
     Ddr4,
 }
 
+/// CPU cycles a run may take per instruction before it stops as timed out:
+/// generous enough for the most memory-bound workloads.
+const MAX_CPU_CYCLES_PER_INSTRUCTION: u64 = 2_000;
+/// The cycle cap of a run too short for the per-instruction cap to matter.
+const MIN_CPU_CYCLE_CAP: u64 = 10_000_000;
+
 /// Builds and runs one simulation: a workload (1..=4 applications) under a
 /// [`Scheme`] and a [`PagePolicy`].
 ///
@@ -74,7 +80,6 @@ pub struct SimBuilder {
     policy: PagePolicy,
     instructions: u64,
     seed: u64,
-    max_cpu_cycles: u64,
     warmup_mem_ops: Option<u64>,
     scheme_override: Option<dram_sim::SchemeBehavior>,
     prefetch_next_line: bool,
@@ -126,7 +131,6 @@ impl SimBuilder {
             policy: PagePolicy::RelaxedClosePage,
             instructions: 100_000,
             seed: 1,
-            max_cpu_cycles: 0, // derived from instructions unless set
             warmup_mem_ops: None,
             scheme_override: None,
             prefetch_next_line: false,
@@ -241,13 +245,6 @@ impl SimBuilder {
     /// RNG seed for the workload generators.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Hard cap on CPU cycles (default: 2000 cycles per instruction,
-    /// generous enough for the most memory-bound workloads).
-    pub fn max_cpu_cycles(mut self, n: u64) -> Self {
-        self.max_cpu_cycles = n;
         self
     }
 
@@ -560,13 +557,12 @@ impl SimBuilder {
     pub fn config_digest(&self) -> u64 {
         let mut w = sim_snap::SnapWriter::new();
         w.section("pra-sim-config");
-        w.u32(1); // digest layout version
+        w.u32(2); // digest layout version
         self.write_apps(&mut w);
         w.str(self.scheme.name());
         w.str(&format!("{:?}", self.policy));
         w.u64(self.instructions);
         w.u64(self.seed);
-        w.u64(self.max_cpu_cycles);
         w.opt_u64(self.warmup_mem_ops);
         w.bool(self.scheme_override.is_some());
         if let Some(b) = &self.scheme_override {
@@ -795,11 +791,10 @@ impl SimBuilder {
                 .observer_mut()
                 .emit(|| sim_obs::TraceEvent::Restore { cycle });
         }
-        let cap = if self.max_cpu_cycles > 0 {
-            self.max_cpu_cycles
-        } else {
-            self.instructions.saturating_mul(2000).max(10_000_000)
-        };
+        let cap = self
+            .instructions
+            .saturating_mul(MAX_CPU_CYCLES_PER_INSTRUCTION)
+            .max(MIN_CPU_CYCLE_CAP);
         let outcome = {
             let _prof = sim_prof::span!("sim.run");
             match &self.checkpoint_dir {
@@ -1253,7 +1248,7 @@ mod tests {
         let profiled = quick(Scheme::Pra);
         sim_prof::disable();
         let report = sim_prof::take_report();
-        for span in ["sim.warmup", "sim.run", "dram.tick", "cache.access"] {
+        for span in ["sim.warmup", "sim.run"] {
             assert!(
                 report.spans.iter().any(|s| s.name == span),
                 "expected span {span} in {:?}",

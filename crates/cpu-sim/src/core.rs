@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 
 use mem_model::{PhysAddr, RequestId, WordMask};
+use sim_obs::StallKind;
 
 /// One event in a core's dynamic instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,10 +63,18 @@ pub trait InstructionSource {
 pub enum Deferred {
     /// An op fetched but not yet issued; it is issued from the start.
     Op(Op),
-    /// A demand load that missed both caches and whose DRAM read of this
-    /// line the read queue refused. The cache access already happened, so
-    /// only the read is retried.
-    Read(PhysAddr),
+    /// The DRAM reads of a load or store that missed both caches, from the
+    /// first one the read queue refused. The cache access already happened,
+    /// so only these reads are retried; the instruction retires once its
+    /// fill is enqueued.
+    Reads {
+        /// The next-line prefetch, when it is still to be issued.
+        prefetch: Option<PhysAddr>,
+        /// The accessed line's fill.
+        fill: PhysAddr,
+        /// Whether the access is a store, whose fill does not block the ROB.
+        store: bool,
+    },
 }
 
 /// Static core parameters (paper Table 3: 8-way superscalar,
@@ -111,20 +120,9 @@ pub struct Outstanding {
     pub req_id: Option<RequestId>,
     /// Retired-instruction count at issue, for the ROB window check.
     pub issued_at_retired: u64,
-    /// `true` for demand loads (ROB-blocking), `false` for store fills.
+    /// `true` for demand loads (ROB-blocking), `false` for store fills and
+    /// prefetches.
     pub blocking: bool,
-}
-
-/// Why the core could not retire anything this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallReason {
-    /// ROB window exhausted behind the oldest load.
-    RobFull,
-    /// Load queue full.
-    LdqFull,
-    /// Store buffer full (writebacks back-pressured by the DRAM write
-    /// queue, or too many outstanding store fills).
-    StoreBufferFull,
 }
 
 /// Per-core stall and progress counters.
@@ -142,6 +140,17 @@ pub struct CoreStats {
     pub loads_by_level: [u64; 3],
     /// Stores executed.
     pub stores: u64,
+}
+
+impl CoreStats {
+    /// Adds `cycles` fully stalled cycles to the counter of `kind`.
+    pub fn add_stall(&mut self, kind: StallKind, cycles: u64) {
+        match kind {
+            StallKind::Rob => self.rob_stall_cycles += cycles,
+            StallKind::Ldq => self.ldq_stall_cycles += cycles,
+            StallKind::StoreBuffer => self.store_stall_cycles += cycles,
+        }
+    }
 }
 
 /// Architectural state of one core.
@@ -273,11 +282,11 @@ impl Core {
     }
 }
 
-/// Tag of a [`Deferred::Read`], after the three [`Op`] tags.
-const DEFERRED_READ_TAG: u8 = 3;
+/// Tag of [`Deferred::Reads`], after the three [`Op`] tags.
+const DEFERRED_READS_TAG: u8 = 3;
 
 /// Writes a [`Deferred`] with a leading tag byte: 0–2 for an op's kind, 3
-/// for a read.
+/// for a miss's reads.
 fn save_deferred(w: &mut sim_snap::SnapWriter, deferred: Deferred) {
     match deferred {
         Deferred::Op(Op::Compute(n)) => {
@@ -293,9 +302,15 @@ fn save_deferred(w: &mut sim_snap::SnapWriter, deferred: Deferred) {
             w.u64(a.raw());
             w.u8(m.bits());
         }
-        Deferred::Read(line) => {
-            w.u8(DEFERRED_READ_TAG);
-            w.u64(line.raw());
+        Deferred::Reads {
+            prefetch,
+            fill,
+            store,
+        } => {
+            w.u8(DEFERRED_READS_TAG);
+            w.opt_u64(prefetch.map(PhysAddr::raw));
+            w.u64(fill.raw());
+            w.bool(store);
         }
     }
 }
@@ -310,7 +325,13 @@ fn load_deferred(r: &mut sim_snap::SnapReader<'_>) -> Result<Deferred, sim_snap:
             let mask = WordMask::from_bits(r.u8()?);
             Op::Store(addr, mask)
         }
-        DEFERRED_READ_TAG => return Ok(Deferred::Read(PhysAddr::new(r.u64()?))),
+        DEFERRED_READS_TAG => {
+            return Ok(Deferred::Reads {
+                prefetch: r.opt_u64()?.map(PhysAddr::new),
+                fill: PhysAddr::new(r.u64()?),
+                store: r.bool()?,
+            })
+        }
         tag => return Err(sim_snap::SnapError::Decode(format!("unknown op tag {tag}"))),
     };
     Ok(Deferred::Op(op))
@@ -459,7 +480,16 @@ mod tests {
         use sim_snap::SnapState;
         for deferred in [
             Deferred::Op(Op::Store(PhysAddr::new(64), WordMask::single(3))),
-            Deferred::Read(PhysAddr::new(0x1240)),
+            Deferred::Reads {
+                prefetch: Some(PhysAddr::new(0x1280)),
+                fill: PhysAddr::new(0x1240),
+                store: true,
+            },
+            Deferred::Reads {
+                prefetch: None,
+                fill: PhysAddr::new(0x1240),
+                store: false,
+            },
         ] {
             let mut c = Core::new(CoreConfig::paper(), 10);
             c.deferred = Some(deferred);

@@ -61,8 +61,6 @@ mod core;
 mod metrics;
 mod system;
 
-pub use crate::core::{
-    Core, CoreConfig, CoreStats, Deferred, InstructionSource, Op, Outstanding, StallReason,
-};
+pub use crate::core::{Core, CoreConfig, CoreStats, Deferred, InstructionSource, Op, Outstanding};
 pub use metrics::{energy_delay_product, weighted_speedup, CoreResult, SpeedupError};
 pub use system::{CpuSystem, RunOutcome, SystemConfig};

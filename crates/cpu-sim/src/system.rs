@@ -1,13 +1,11 @@
 //! The multi-core system: cores + cache hierarchy + DRAM, clock-coupled.
 
-use std::collections::HashMap;
-
 use cache_sim::{CacheHierarchy, HitLevel};
 use dram_sim::MemorySystem;
-use mem_model::{MemRequest, RequestId};
+use mem_model::{MemRequest, PhysAddr, RequestId, WordMask};
 use sim_obs::{SinkHandle, StallKind, TraceEvent, TraceSink};
 
-use crate::core::{Core, CoreConfig, CoreStats, Deferred, InstructionSource, Op, Outstanding};
+use crate::core::{Core, CoreConfig, Deferred, InstructionSource, Op, Outstanding};
 use crate::metrics::CoreResult;
 
 /// System-level parameters.
@@ -80,16 +78,14 @@ impl Sleep {
     };
 }
 
-/// Where a core's tick stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a core's tick stopped before it used its issue width or finished.
+#[derive(Debug, Clone, Copy)]
 enum Stop {
-    /// It used its issue width, finished, or stalled on its store buffer
-    /// before issuing: the state after the tick tells the rest.
-    Ran,
-    /// Blocked on a resource that only a completion frees.
+    /// Blocked on a resource a completion frees (a memory tick, for a full
+    /// writeback buffer).
     Blocked(StallKind),
-    /// The read queue refused its demand read; a memory tick may free it.
-    ReadRefused,
+    /// The read queue refused one of its reads; a memory tick may free it.
+    Refused(StallKind),
 }
 
 /// A complete simulated machine: N cores with private L1s, a shared L2 and
@@ -112,10 +108,6 @@ pub struct CpuSystem {
     mem: MemorySystem,
     cpu_cycle: u64,
     next_req_id: RequestId,
-    req_owner: HashMap<RequestId, usize>,
-    /// Reads the memory system completed this memory cycle; reused so the
-    /// per-cycle hand-off does not allocate.
-    completed: Vec<RequestId>,
     sink: SinkHandle,
     stall_runs: Vec<Option<StallRun>>,
     /// Per core; runtime state rebuilt as all-awake on restore, since the
@@ -156,8 +148,6 @@ impl CpuSystem {
             mem,
             cpu_cycle: 0,
             next_req_id: 1,
-            req_owner: HashMap::new(),
-            completed: Vec::new(),
             sink: SinkHandle::disabled(),
             stall_runs,
             sleeps,
@@ -329,18 +319,13 @@ impl CpuSystem {
             self.cpu_cycle = to;
         } else {
             self.hierarchy.set_now(now);
-            let tracing = self.sink.tracing();
             for idx in 0..self.cores.len() {
                 if self.sleeps[idx].wake > now {
                     continue;
                 }
                 self.settle(idx, now);
-                let before = tracing.then(|| self.cores[idx].stats);
                 let (stop, wb_refused) = self.tick_core(idx);
-                if let Some(before) = before {
-                    self.track_stall(idx, before);
-                }
-                self.sleeps[idx] = self.sleep_after_tick(idx, stop, wb_refused, tracing);
+                self.sleeps[idx] = self.sleep_after_tick(idx, stop, wb_refused);
             }
             self.cpu_cycle += 1;
         }
@@ -352,15 +337,11 @@ impl CpuSystem {
                 self.settle_all();
                 self.publish_cpu_metrics();
             }
-            self.completed.clear();
-            self.completed.extend_from_slice(self.mem.try_tick()?);
             let next = self.cpu_cycle;
-            for id in &self.completed {
-                if let Some(core) = self.req_owner.remove(id) {
-                    self.cores[core].complete_request(*id);
-                    let wake = &mut self.sleeps[core].wake;
-                    *wake = (*wake).min(next);
-                }
+            for &(id, core) in self.mem.try_tick()? {
+                self.cores[core].complete_request(id);
+                let wake = &mut self.sleeps[core].wake;
+                *wake = (*wake).min(next);
             }
         }
         Ok(())
@@ -374,7 +355,7 @@ impl CpuSystem {
     /// Writebacks appended after the drain have not been offered yet, so
     /// they keep the core awake, as does a stall that would open a new
     /// trace episode.
-    fn sleep_after_tick(&self, idx: usize, stop: Stop, wb_refused: bool, tracing: bool) -> Sleep {
+    fn sleep_after_tick(&self, idx: usize, stop: Option<Stop>, wb_refused: bool) -> Sleep {
         let core = &self.cores[idx];
         if !wb_refused && !core.pending_writebacks.is_empty() {
             return Sleep::AWAKE;
@@ -386,16 +367,15 @@ impl CpuSystem {
             None
         } else {
             match stop {
-                Stop::Ran => return Sleep::AWAKE,
-                Stop::Blocked(kind) => Some(kind),
-                Stop::ReadRefused => Some(StallKind::Ldq),
+                None => return Sleep::AWAKE,
+                Some(Stop::Blocked(kind) | Stop::Refused(kind)) => Some(kind),
             }
         };
-        if tracing && self.stall_runs[idx].map(|run| run.kind) != kind {
+        if self.sink.tracing() && self.stall_runs[idx].map(|run| run.kind) != kind {
             return Sleep::AWAKE;
         }
         let mut wake = core.next_timed_done();
-        if wb_refused || stop == Stop::ReadRefused {
+        if wb_refused || matches!(stop, Some(Stop::Refused(_))) {
             // The DRAM queues only drain on a memory tick.
             wake = wake.min(self.next_mem_tick());
         }
@@ -422,12 +402,8 @@ impl CpuSystem {
         }
         let skipped = now - sleep.since;
         sleep.since = now;
-        let stats = &mut self.cores[idx].stats;
-        match sleep.kind {
-            Some(StallKind::Rob) => stats.rob_stall_cycles += skipped,
-            Some(StallKind::Ldq) => stats.ldq_stall_cycles += skipped,
-            Some(StallKind::StoreBuffer) => stats.store_stall_cycles += skipped,
-            None => {}
+        if let Some(kind) = sleep.kind {
+            self.cores[idx].stats.add_stall(kind, skipped);
         }
         if self.sink.tracing() {
             if let Some(run) = &mut self.stall_runs[idx] {
@@ -446,22 +422,11 @@ impl CpuSystem {
         }
     }
 
-    /// Classifies the cycle a core just executed: a stall cycle extends (or
-    /// opens) an episode; progress or a stall-kind change closes the open
-    /// episode as one [`TraceEvent::CoreStall`].
-    fn track_stall(&mut self, idx: usize, before: CoreStats) {
-        let after = &self.cores[idx].stats;
-        let kind = if after.retired != before.retired {
-            None
-        } else if after.store_stall_cycles > before.store_stall_cycles {
-            Some(StallKind::StoreBuffer)
-        } else if after.rob_stall_cycles > before.rob_stall_cycles {
-            Some(StallKind::Rob)
-        } else if after.ldq_stall_cycles > before.ldq_stall_cycles {
-            Some(StallKind::Ldq)
-        } else {
-            None
-        };
+    /// Records the cycle a core just executed, given the stall it counted
+    /// (`None` when it retired something or counted no stall): a stall
+    /// cycle extends (or opens) an episode; progress or a stall-kind change
+    /// closes the open episode as one [`TraceEvent::CoreStall`].
+    fn track_stall(&mut self, idx: usize, kind: Option<StallKind>) {
         let now = self.cpu_cycle;
         match (self.stall_runs[idx], kind) {
             (Some(run), Some(k)) if run.kind == k => {
@@ -547,64 +512,72 @@ impl CpuSystem {
         self.mem.finish_observability();
     }
 
-    /// Runs core `idx` for the current cycle. Returns where it stopped and
-    /// whether the write queue refused its front writeback.
-    fn tick_core(&mut self, idx: usize) -> (Stop, bool) {
+    /// Runs core `idx` for the current cycle and, when tracing, records the
+    /// cycle's stall. Returns where it stopped before using its issue width
+    /// or finishing, if it did, and whether the write queue refused its
+    /// front writeback.
+    fn tick_core(&mut self, idx: usize) -> (Option<Stop>, bool) {
         let now = self.cpu_cycle;
         self.cores[idx].complete_ready(now);
         let wb_refused = self.drain_writebacks(idx);
-        let stq = self.cores[idx].config.stq;
-        if self.cores[idx].pending_writebacks.len() >= stq {
-            self.cores[idx].stats.store_stall_cycles += 1;
-            return (Stop::Ran, wb_refused);
-        }
-
         let width = u64::from(self.cores[idx].config.width);
         let mut slots = width;
-        while slots > 0 && !self.cores[idx].finished() {
-            if self.cores[idx].rob_blocked() {
-                if slots == width {
-                    self.cores[idx].stats.rob_stall_cycles += 1;
+        let stop = self.issue_ops(idx, now, &mut slots).err();
+        if self.sink.tracing() {
+            // The stall counted by a tick that retired nothing.
+            let stall = match stop {
+                Some(Stop::Blocked(kind) | Stop::Refused(kind)) if slots == width => Some(kind),
+                _ => None,
+            };
+            self.track_stall(idx, stall);
+        }
+        (stop, wb_refused)
+    }
+
+    /// Issues core `idx`'s ops until it has used its `slots` or finished;
+    /// returns where it blocked instead.
+    fn issue_ops(&mut self, idx: usize, now: u64, slots: &mut u64) -> Result<(), Stop> {
+        let core = &mut self.cores[idx];
+        if core.pending_writebacks.len() >= core.config.stq {
+            core.stats.add_stall(StallKind::StoreBuffer, 1);
+            return Err(Stop::Blocked(StallKind::StoreBuffer));
+        }
+        let width = *slots;
+        while *slots > 0 && !self.cores[idx].finished() {
+            let core = &mut self.cores[idx];
+            if core.rob_blocked() {
+                if *slots == width {
+                    core.stats.add_stall(StallKind::Rob, 1);
                 }
-                return (Stop::Blocked(StallKind::Rob), wb_refused);
+                return Err(Stop::Blocked(StallKind::Rob));
             }
             // Compute backlog first.
-            if self.cores[idx].pending_compute > 0 {
-                let n = slots.min(self.cores[idx].pending_compute);
-                self.cores[idx].pending_compute -= n;
-                self.cores[idx].retire(n, now);
-                slots -= n;
+            if core.pending_compute > 0 {
+                let n = (*slots).min(core.pending_compute);
+                core.pending_compute -= n;
+                core.retire(n, now);
+                *slots -= n;
                 continue;
             }
-            let op = match self.cores[idx].deferred.take() {
-                Some(Deferred::Read(line)) => {
-                    if !self.issue_demand_read(idx, line, now, &mut slots) {
-                        return (Stop::ReadRefused, wb_refused);
-                    }
+            let op = match core.deferred.take() {
+                Some(Deferred::Reads {
+                    prefetch,
+                    fill,
+                    store,
+                }) => {
+                    self.issue_miss_reads(idx, prefetch, fill, store, now, slots)?;
                     continue;
                 }
                 Some(Deferred::Op(op)) => op,
                 None => self.sources[idx].next_op(),
             };
-            let issued = match op {
-                Op::Compute(0) => true,
-                Op::Compute(n) => {
-                    self.cores[idx].pending_compute = u64::from(n);
-                    true
-                }
-                Op::Load(addr) => self.issue_load(idx, addr, now, &mut slots),
-                Op::Store(addr, mask) => self.issue_store(idx, addr, mask, now, &mut slots),
-            };
-            if !issued {
-                let stop = match self.cores[idx].deferred {
-                    Some(Deferred::Read(_)) => Stop::ReadRefused,
-                    Some(Deferred::Op(Op::Store(..))) => Stop::Blocked(StallKind::StoreBuffer),
-                    _ => Stop::Blocked(StallKind::Ldq),
-                };
-                return (stop, wb_refused);
+            match op {
+                Op::Compute(n) => self.cores[idx].pending_compute = u64::from(n),
+                Op::Load(addr) => self.issue_load(idx, addr, now, slots)?,
+                Op::Store(addr, mask) => self.issue_store(idx, addr, mask, now, slots)?,
             }
         }
-        (Stop::Ran, wb_refused)
+        Ok(())
     }
 
     /// Offers core `idx`'s pending writebacks to the DRAM write queue,
@@ -621,151 +594,137 @@ impl CpuSystem {
         false
     }
 
-    /// Issues a load; returns `false` (with the op or its DRAM read
-    /// deferred) on a full load queue or read queue.
+    /// Issues a load; on a full load queue the op is deferred, on a full
+    /// read queue its DRAM reads.
     fn issue_load(
         &mut self,
         idx: usize,
-        addr: mem_model::PhysAddr,
+        addr: PhysAddr,
         now: u64,
         slots: &mut u64,
-    ) -> bool {
-        if self.cores[idx].loads_in_flight() >= self.cores[idx].config.ldq {
-            self.cores[idx].deferred = Some(Deferred::Op(Op::Load(addr)));
-            self.cores[idx].stats.ldq_stall_cycles += 1;
-            return false;
+    ) -> Result<(), Stop> {
+        let core = &mut self.cores[idx];
+        if core.loads_in_flight() >= core.config.ldq {
+            core.deferred = Some(Deferred::Op(Op::Load(addr)));
+            core.stats.add_stall(StallKind::Ldq, 1);
+            return Err(Stop::Blocked(StallKind::Ldq));
         }
         let access = self.hierarchy.access(idx, addr, None);
         self.cores[idx].pending_writebacks.extend(access.writebacks);
-        self.issue_prefetch(idx, access.prefetch_read);
-        // L1 hits are fully hidden by the OoO window.
+        if let Some(fill) = access.fill_read {
+            return self.issue_miss_reads(idx, access.prefetch_read, fill, false, now, slots);
+        }
         let (_, l2_lat) = self.hierarchy.latencies();
-        match access.level {
-            HitLevel::L1 => {
-                self.cores[idx].stats.loads_by_level[0] += 1;
-            }
-            HitLevel::L2 => {
-                self.cores[idx].stats.loads_by_level[1] += 1;
-                let retired = self.cores[idx].stats.retired;
-                self.cores[idx].push_outstanding(Outstanding {
-                    done_at: Some(now + l2_lat),
-                    req_id: None,
-                    issued_at_retired: retired,
-                    blocking: true,
-                });
-            }
-            HitLevel::Memory => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "CacheHierarchy::access always populates fill_read for HitLevel::Memory outcomes"
-                )]
-                let line = access
-                    .fill_read
-                    .expect("memory-level access carries a fill");
-                return self.issue_demand_read(idx, line, now, slots);
-            }
-        }
-        self.cores[idx].retire(1, now);
-        *slots -= 1;
-        true
-    }
-
-    /// Enqueues the DRAM read of a load that missed both caches, which
-    /// then retires and stays outstanding until the read completes. When
-    /// the read queue is full, only the read is deferred: the cache access
-    /// already happened and is not repeated.
-    fn issue_demand_read(
-        &mut self,
-        idx: usize,
-        line: mem_model::PhysAddr,
-        now: u64,
-        slots: &mut u64,
-    ) -> bool {
-        let id = self.next_req_id;
-        let req = MemRequest::read(id, line).with_core(idx);
-        if self.mem.try_enqueue(req).is_err() {
-            self.cores[idx].deferred = Some(Deferred::Read(line));
-            self.cores[idx].stats.ldq_stall_cycles += 1;
-            return false;
-        }
-        self.next_req_id += 1;
-        self.req_owner.insert(id, idx);
-        self.cores[idx].stats.loads_by_level[2] += 1;
-        let retired = self.cores[idx].stats.retired;
-        self.cores[idx].push_outstanding(Outstanding {
-            done_at: None,
-            req_id: Some(id),
-            issued_at_retired: retired,
-            blocking: true,
-        });
-        self.cores[idx].retire(1, now);
-        *slots -= 1;
-        true
-    }
-
-    /// Issues a non-blocking prefetch read if the queue has room; dropped
-    /// prefetches are harmless (the cache already owns the line and a later
-    /// demand access will hit L2 with zero memory latency — an acceptable
-    /// optimism for an optional extension feature).
-    fn issue_prefetch(&mut self, idx: usize, line: Option<mem_model::PhysAddr>) {
-        let Some(line) = line else { return };
-        let id = self.next_req_id;
-        let req = MemRequest::read(id, line).with_core(idx);
-        if self.mem.try_enqueue(req).is_ok() {
-            self.next_req_id += 1;
-            self.req_owner.insert(id, idx);
-            let retired = self.cores[idx].stats.retired;
-            self.cores[idx].push_outstanding(Outstanding {
-                done_at: None,
-                req_id: Some(id),
+        let core = &mut self.cores[idx];
+        if access.level == HitLevel::L2 {
+            core.stats.loads_by_level[1] += 1;
+            let retired = core.stats.retired;
+            core.push_outstanding(Outstanding {
+                done_at: Some(now + l2_lat),
+                req_id: None,
                 issued_at_retired: retired,
-                blocking: false,
+                blocking: true,
             });
+        } else {
+            // L1 hits are fully hidden by the OoO window.
+            core.stats.loads_by_level[0] += 1;
         }
+        core.retire(1, now);
+        *slots -= 1;
+        Ok(())
     }
 
-    /// Issues a store; returns `false` (with the op deferred) on a full
-    /// store buffer.
+    /// Issues a store; on a full store buffer the op is deferred, on a full
+    /// read queue its DRAM reads.
     fn issue_store(
         &mut self,
         idx: usize,
-        addr: mem_model::PhysAddr,
-        mask: mem_model::WordMask,
+        addr: PhysAddr,
+        mask: WordMask,
         now: u64,
         slots: &mut u64,
-    ) -> bool {
-        if self.cores[idx].store_fills_in_flight() >= self.cores[idx].config.stq {
-            self.cores[idx].deferred = Some(Deferred::Op(Op::Store(addr, mask)));
-            self.cores[idx].stats.store_stall_cycles += 1;
-            return false;
+    ) -> Result<(), Stop> {
+        let core = &mut self.cores[idx];
+        if core.store_fills_in_flight() >= core.config.stq {
+            core.deferred = Some(Deferred::Op(Op::Store(addr, mask)));
+            core.stats.add_stall(StallKind::StoreBuffer, 1);
+            return Err(Stop::Blocked(StallKind::StoreBuffer));
         }
         let access = self.hierarchy.access(idx, addr, Some(mask));
         self.cores[idx].pending_writebacks.extend(access.writebacks);
-        self.issue_prefetch(idx, access.prefetch_read);
-        if let Some(line) = access.fill_read {
+        if let Some(fill) = access.fill_read {
             // Write-allocate: the line must be fetched, but the store buffer
             // hides the latency (non-blocking fill).
-            let id = self.next_req_id;
-            let req = MemRequest::read(id, line).with_core(idx);
-            if self.mem.try_enqueue(req).is_ok() {
-                self.next_req_id += 1;
-                self.req_owner.insert(id, idx);
-                let retired = self.cores[idx].stats.retired;
-                self.cores[idx].push_outstanding(Outstanding {
-                    done_at: None,
-                    req_id: Some(id),
-                    issued_at_retired: retired,
-                    blocking: false,
-                });
-            }
-            // If the read queue is full the fill is dropped from the timing
-            // model (the cache already owns the line); this keeps stores
-            // non-blocking, slightly underestimating read pressure only in
-            // pathological full-queue states.
+            return self.issue_miss_reads(idx, access.prefetch_read, fill, true, now, slots);
         }
-        self.cores[idx].stats.stores += 1;
-        self.cores[idx].retire(1, now);
+        let core = &mut self.cores[idx];
+        core.stats.stores += 1;
+        core.retire(1, now);
         *slots -= 1;
+        Ok(())
+    }
+
+    /// Enqueues the DRAM reads of a load or store that missed both caches,
+    /// the prefetch first, then retires the instruction. The read the read
+    /// queue refuses and those after it are deferred, counting a load-queue
+    /// stall cycle for a load and a store-buffer one for a store: their
+    /// retry repeats neither the cache access nor the reads enqueued.
+    fn issue_miss_reads(
+        &mut self,
+        idx: usize,
+        prefetch: Option<PhysAddr>,
+        fill: PhysAddr,
+        store: bool,
+        now: u64,
+        slots: &mut u64,
+    ) -> Result<(), Stop> {
+        let prefetched = prefetch.is_none_or(|line| self.issue_read(idx, line, false));
+        if !prefetched || !self.issue_read(idx, fill, !store) {
+            let kind = if store {
+                StallKind::StoreBuffer
+            } else {
+                StallKind::Ldq
+            };
+            let core = &mut self.cores[idx];
+            core.deferred = Some(Deferred::Reads {
+                prefetch: prefetch.filter(|_| !prefetched),
+                fill,
+                store,
+            });
+            core.stats.add_stall(kind, 1);
+            return Err(Stop::Refused(kind));
+        }
+        let core = &mut self.cores[idx];
+        if store {
+            core.stats.stores += 1;
+        } else {
+            core.stats.loads_by_level[2] += 1;
+        }
+        core.retire(1, now);
+        *slots -= 1;
+        Ok(())
+    }
+
+    /// The one way a core's read reaches DRAM: enqueues a read of `line`
+    /// tagged with core `idx` and tracks it until its completion, which
+    /// [`MemorySystem::try_tick`] hands back with the core. A `blocking`
+    /// read (a demand load's) holds the ROB window. Returns `false`,
+    /// changing nothing, when the read queue refuses it.
+    fn issue_read(&mut self, idx: usize, line: PhysAddr, blocking: bool) -> bool {
+        let id = self.next_req_id;
+        let req = MemRequest::read(id, line).with_core(idx);
+        if self.mem.try_enqueue(req).is_err() {
+            return false;
+        }
+        self.next_req_id += 1;
+        let core = &mut self.cores[idx];
+        let issued_at_retired = core.stats.retired;
+        core.push_outstanding(Outstanding {
+            done_at: None,
+            req_id: Some(id),
+            issued_at_retired,
+            blocking,
+        });
         true
     }
 }
@@ -815,19 +774,6 @@ impl sim_snap::SnapState for CpuSystem {
         for source in &self.sources {
             source.snap_save_state(w);
         }
-        // HashMap iteration order is nondeterministic; serialise sorted so
-        // identical states produce identical snapshot bytes.
-        let mut owners: Vec<(RequestId, usize)> = self
-            .req_owner
-            .iter()
-            .map(|(&id, &core)| (id, core))
-            .collect();
-        owners.sort_unstable();
-        w.seq(owners.len());
-        for (id, core) in owners {
-            w.u64(id);
-            w.usize(core);
-        }
         w.seq(self.stall_runs.len());
         for run in &self.stall_runs {
             w.bool(run.is_some());
@@ -857,19 +803,6 @@ impl sim_snap::SnapState for CpuSystem {
             source.snap_load_state(r)?;
         }
         let n = r.seq()?;
-        self.req_owner.clear();
-        for _ in 0..n {
-            let id = r.u64()?;
-            let core = r.usize()?;
-            if core >= self.cores.len() {
-                return Err(sim_snap::SnapError::Decode(format!(
-                    "request owner core {core} out of range ({} cores)",
-                    self.cores.len()
-                )));
-            }
-            self.req_owner.insert(id, core);
-        }
-        let n = r.seq()?;
         if n != self.stall_runs.len() {
             return Err(sim_snap::SnapError::Decode(format!(
                 "stall-run count mismatch: snapshot has {n}, system has {}",
@@ -886,6 +819,13 @@ impl sim_snap::SnapState for CpuSystem {
         self.sleeps.fill(Sleep::AWAKE);
         self.hierarchy.snap_load(r)?;
         self.mem.snap_load(r)?;
+        // A read's completion goes to the core it names.
+        if let Some(core) = self.mem.read_cores().find(|&c| c >= self.cores.len()) {
+            return Err(sim_snap::SnapError::Decode(format!(
+                "read for core {core} out of range ({} cores)",
+                self.cores.len()
+            )));
+        }
         Ok(())
     }
 }
@@ -1115,7 +1055,7 @@ mod tests {
         let mut refusals = 0;
         while !sys.cores()[0].finished() {
             sys.tick_cpu_cycle();
-            if matches!(sys.cores()[0].deferred, Some(Deferred::Read(_))) {
+            if matches!(sys.cores()[0].deferred, Some(Deferred::Reads { .. })) {
                 refusals += 1;
             }
         }
@@ -1350,6 +1290,50 @@ mod tests {
         assert_eq!(
             resumed.mem().energy().total().to_bits(),
             reference.mem().energy().total().to_bits()
+        );
+    }
+
+    #[test]
+    fn restoring_an_in_flight_read_for_a_missing_core_is_a_decode_error() {
+        use sim_snap::SnapState;
+        /// One load, then compute only: the run's one DRAM read.
+        struct OneLoad(bool);
+        impl InstructionSource for OneLoad {
+            fn next_op(&mut self) -> Op {
+                if std::mem::replace(&mut self.0, true) {
+                    Op::Compute(100)
+                } else {
+                    Op::Load(PhysAddr::new(0x4000))
+                }
+            }
+        }
+        // A request id whose eight bytes occur nowhere else in the image.
+        const ID: u64 = 0x5eed_f00d_cafe_d00d;
+        let mut sys = build(vec![Box::new(OneLoad(false))], 1_000_000);
+        sys.next_req_id = ID;
+        // The image taken on the cycle before the read completes has it in
+        // flight.
+        let mut image = Vec::new();
+        while sys.mem().stats().reads_completed == 0 {
+            let mut w = sim_snap::SnapWriter::new();
+            sys.snap_save(&mut w);
+            image = w.into_bytes();
+            sys.tick_cpu_cycle();
+        }
+        // The id is in the core's outstanding list, then in the DRAM
+        // channel's in-flight reads, written as its id and then its core.
+        let id = ID.to_le_bytes();
+        assert_eq!(image.windows(8).filter(|w| *w == id).count(), 2);
+        let at = image.windows(8).rposition(|w| w == id).unwrap() + 8;
+        assert_eq!(image[at..at + 8], 0u64.to_le_bytes());
+        image[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+        let mut fresh = build(vec![Box::new(OneLoad(false))], 1_000_000);
+        let err = fresh
+            .snap_load(&mut sim_snap::SnapReader::new(&image))
+            .unwrap_err();
+        assert!(
+            matches!(&err, sim_snap::SnapError::Decode(m) if m.contains("core 1 out of range")),
+            "{err}"
         );
     }
 

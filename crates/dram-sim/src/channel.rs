@@ -78,6 +78,8 @@ impl DataBus {
 #[derive(Debug, Clone, Copy)]
 struct InflightRead {
     id: RequestId,
+    /// The core that issued it, handed back with its completion.
+    core: usize,
     done_at: u64,
     enqueued_at: u64,
 }
@@ -280,6 +282,12 @@ impl Channel {
         }
     }
 
+    /// The issuing core of every read queued or in flight.
+    pub fn read_cores(&self) -> impl Iterator<Item = usize> + '_ {
+        let queued = self.read_q.iter().map(|e| e.req.core);
+        queued.chain(self.inflight_reads.iter().map(|f| f.core))
+    }
+
     /// Number of requests queued or in flight (including write bursts still
     /// on the data bus).
     pub fn pending(&self) -> usize {
@@ -289,9 +297,10 @@ impl Channel {
             + self.inflight_write_ends.len()
     }
 
-    /// Advances the channel one memory cycle. Completed read ids are pushed
-    /// onto `completed`. `faults` is the optional injector shared by all
-    /// channels; `None` (the default) leaves every decision untouched.
+    /// Advances the channel one memory cycle. Each completed read is pushed
+    /// onto `completed` as its id and issuing core. `faults` is the
+    /// optional injector shared by all channels; `None` (the default)
+    /// leaves every decision untouched.
     ///
     /// Returns `Err` if the protocol checker (when enabled) rejects a command
     /// the scheduler issued this cycle — always a simulator bug.
@@ -306,7 +315,7 @@ impl Channel {
         stats: &mut DramStats,
         energy: &mut EnergyAccounting,
         o: &mut DramObs,
-        completed: &mut Vec<RequestId>,
+        completed: &mut Vec<(RequestId, usize)>,
         faults: &mut Option<FaultInjector>,
     ) -> Result<(), ProtocolError> {
         let ch = self.index;
@@ -401,7 +410,7 @@ impl Channel {
         now: u64,
         stats: &mut DramStats,
         o: &mut DramObs,
-        completed: &mut Vec<RequestId>,
+        completed: &mut Vec<(RequestId, usize)>,
     ) {
         if now < self.next_transfer_done {
             return;
@@ -420,7 +429,7 @@ impl Channel {
                     channel: ch,
                     latency,
                 });
-                completed.push(fin.id);
+                completed.push((fin.id, fin.core));
             } else {
                 i += 1;
             }
@@ -790,6 +799,7 @@ impl Channel {
             energy.read_line();
             self.inflight_reads.push(InflightRead {
                 id: entry.req.id,
+                core: entry.req.core,
                 done_at: end,
                 enqueued_at: entry.enqueued_at,
             });
@@ -1331,6 +1341,7 @@ impl sim_snap::SnapState for Channel {
         w.seq(self.inflight_reads.len());
         for f in &self.inflight_reads {
             w.u64(f.id);
+            w.usize(f.core);
             w.u64(f.done_at);
             w.u64(f.enqueued_at);
         }
@@ -1392,6 +1403,7 @@ impl sim_snap::SnapState for Channel {
         for _ in 0..inflight {
             self.inflight_reads.push(InflightRead {
                 id: r.u64()?,
+                core: r.usize()?,
                 done_at: r.u64()?,
                 enqueued_at: r.u64()?,
             });

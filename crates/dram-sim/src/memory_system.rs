@@ -60,7 +60,7 @@ pub struct MemorySystem {
     cycle: u64,
     stats: DramStats,
     energy: EnergyAccounting,
-    completed_scratch: Vec<RequestId>,
+    completed_scratch: Vec<(RequestId, usize)>,
     obs: DramObs,
     /// Streaming energy→power window converter, closed at every epoch
     /// boundary and at finish.
@@ -362,8 +362,9 @@ impl MemorySystem {
         Ok(())
     }
 
-    /// Advances one memory cycle; returns the ids of reads whose data
-    /// completed during this cycle.
+    /// Advances one memory cycle; returns the reads whose data completed
+    /// during this cycle, each as its id and the core that issued it
+    /// ([`MemRequest::core`]).
     ///
     /// # Errors
     ///
@@ -372,8 +373,7 @@ impl MemorySystem {
     /// issued — always a simulator bug, never a workload property — and
     /// [`TickError::Liveness`] when a watchdog armed via
     /// [`DramConfig::liveness`] detects no forward progress.
-    pub fn try_tick(&mut self) -> Result<&[RequestId], TickError> {
-        let _prof = sim_prof::span!("dram.tick");
+    pub fn try_tick(&mut self) -> Result<&[(RequestId, usize)], TickError> {
         self.completed_scratch.clear();
         for channel in &mut self.channels {
             channel.tick(
@@ -404,8 +404,8 @@ impl MemorySystem {
         Ok(&self.completed_scratch)
     }
 
-    /// Advances one memory cycle; returns the ids of reads whose data
-    /// completed during this cycle.
+    /// Advances one memory cycle; returns the reads whose data completed
+    /// during this cycle, as [`Self::try_tick`] does.
     ///
     /// # Panics
     ///
@@ -415,7 +415,7 @@ impl MemorySystem {
         clippy::panic,
         reason = "documented panicking facade; a checker rejection is a simulator bug and try_tick is the fallible API"
     )]
-    pub fn tick(&mut self) -> &[RequestId] {
+    pub fn tick(&mut self) -> &[(RequestId, usize)] {
         self.try_tick().unwrap_or_else(|e| panic!("DRAM {e}"))
     }
 
@@ -470,6 +470,12 @@ impl MemorySystem {
             .enumerate()
             .filter_map(|(i, ch)| ch.oldest_trail(i as u32))
             .min_by_key(|t| t.enqueued_at)
+    }
+
+    /// The issuing core of every read queued or in flight: the cores
+    /// [`Self::try_tick`] will hand their completions to.
+    pub fn read_cores(&self) -> impl Iterator<Item = usize> + '_ {
+        self.channels.iter().flat_map(Channel::read_cores)
     }
 
     /// Requests queued or in flight across all channels.
@@ -1201,8 +1207,8 @@ mod tests {
         for n in 400..1200u64 {
             feed_step(&mut live, n);
             feed_step(&mut fresh, n);
-            let a: Vec<RequestId> = live.tick().to_vec();
-            let b: Vec<RequestId> = fresh.tick().to_vec();
+            let a = live.tick().to_vec();
+            let b = fresh.tick().to_vec();
             assert_eq!(a, b, "completions diverged at cycle {}", live.cycle());
         }
         assert_eq!(live.stats().reads_completed, fresh.stats().reads_completed);

@@ -60,7 +60,7 @@ const TINY_CACHE_STORES: Observed = Observed {
 const MIX2_PRA_STALL_EPISODES: u64 = 0xf84cb4e5b557ce78;
 /// FNV-1a of the three checkpoints the MIX2 PRA run takes (one every
 /// `CHECKPOINT_MEM_CYCLES`) before it is aborted.
-const MIX2_PRA_CHECKPOINTS: [u64; 2] = [0x985038644feb72bb, 0x051d10953758f302];
+const MIX2_PRA_CHECKPOINTS: [u64; 2] = [0x6fc27bc8540a4677, 0x93f3703ab99575c6];
 const CHECKPOINT_MEM_CYCLES: u64 = 1_500;
 
 fn mix2() -> [BenchProfile; 4] {
@@ -274,6 +274,33 @@ fn store_buffer_stalls_match_the_cycle_by_cycle_loop() {
         );
     }
     assert_pinned("tiny-cache stores", observed, TINY_CACHE_STORES);
+}
+
+#[test]
+fn a_refused_store_fill_or_prefetch_is_retried_not_dropped() {
+    // A read queue of two entries per channel refuses write-allocate fills
+    // and prefetches all the time. A refused read must be retried: the
+    // cache already holds its line, so a dropped one is never read.
+    for prefetch in [false, true] {
+        let mut dram =
+            DramConfig::paper_baseline(PagePolicy::RelaxedClosePage, Scheme::Baseline.behavior());
+        dram.queues.read_capacity = 2;
+        let hierarchy = CacheHierarchy::new(HierarchyConfig {
+            prefetch_next_line: prefetch,
+            ..HierarchyConfig::paper(1)
+        });
+        let sources =
+            vec![Box::new(StreamStores { next: 0, base: 0 }) as Box<dyn InstructionSource>];
+        let (_, sys) = run(assemble(hierarchy, dram, sources));
+        let cache = sys.hierarchy().stats();
+        assert!(cache.l2_misses > 1_000, "the stream misses the L2");
+        assert_eq!(cache.prefetches > 0, prefetch);
+        assert_eq!(
+            sys.mem().stats().reads_completed,
+            cache.l2_misses + cache.prefetches,
+            "prefetch {prefetch}: every L2 store miss and prefetch reads DRAM"
+        );
+    }
 }
 
 #[test]

@@ -110,7 +110,7 @@ fn state_digests_match_the_pinned_table() {
 /// the snapshot). Pinned so that the snapshot format, and with it the
 /// restorability of checkpoints written by earlier builds, cannot drift
 /// unnoticed.
-const GOLDEN_CHECKPOINT_BYTES: [u64; 2] = [0xaf35e539ab8d8373, 0x04076d3291dfff83];
+const GOLDEN_CHECKPOINT_BYTES: [u64; 2] = [0xad09295254eb536b, 0x39789b509649eda4];
 
 #[test]
 fn checkpoint_bytes_match_the_pinned_hash() {
