@@ -472,9 +472,8 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                 if ring.dropped() > 0 {
                     let _ = writeln!(
                         out,
-                        "warning: trace ring dropped {} events (trace.dropped_events={}); \
+                        "warning: trace ring dropped {} events; \
                          raise --ring or drop it to stream the full trace",
-                        ring.dropped(),
                         ring.dropped()
                     );
                 }
@@ -592,9 +591,8 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                 if ring.dropped() > 0 {
                     let _ = writeln!(
                         out,
-                        "warning: trace ring dropped {} events (trace.dropped_events={}); \
+                        "warning: trace ring dropped {} events; \
                          the timeline shows only the tail of the run — raise --ring to keep more",
-                        ring.dropped(),
                         ring.dropped()
                     );
                 }
@@ -1319,7 +1317,7 @@ mod tests {
             out.contains("warning: trace ring dropped"),
             "a 16-event ring must overflow: {out}"
         );
-        assert!(out.contains("trace.dropped_events="), "{out}");
+        assert!(out.contains("raise --ring"), "{out}");
         let text = std::fs::read_to_string(&trace)?;
         assert_eq!(text.lines().count(), 16, "the file holds the retained tail");
         assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));

@@ -260,9 +260,8 @@ impl SimBuilder {
     /// Feeds every trace event into a shared in-memory [`sim_obs::RingSink`]
     /// instead of a file — the flight-recorder mode behind
     /// `pra trace export-perfetto`. The caller keeps its own `Rc` clone and
-    /// reads the retained events (and the overflow count) back after the
-    /// run; [`SimBuilder::try_run`] also publishes the overflow count as the
-    /// `trace.dropped_events` counter. Ignored when
+    /// reads the retained events (and the overflow count,
+    /// [`sim_obs::RingSink::dropped`]) back after the run. Ignored when
     /// [`trace_out`](Self::trace_out) streams to a file instead.
     pub fn trace_ring(mut self, ring: std::rc::Rc<std::cell::RefCell<sim_obs::RingSink>>) -> Self {
         self.trace_ring = Some(ring);
@@ -821,14 +820,6 @@ impl SimBuilder {
                 None => system.try_run(cap)?,
             }
         };
-        if let Some(ring) = &self.trace_ring {
-            // Surface silent flight-recorder overflow: the retained window
-            // is only the tail of the run once this counter is nonzero.
-            let dropped = ring.borrow().dropped();
-            let reg = &mut system.mem_mut().observer_mut().registry;
-            let id = reg.counter("trace.dropped_events");
-            reg.set_counter(id, dropped);
-        }
         if let Some((path, sink)) = &trace_file {
             let mut sink = sink.borrow_mut();
             sim_obs::TraceSink::flush(&mut *sink);

@@ -103,10 +103,13 @@ impl EnergyAccounting {
     ///
     /// # Panics
     ///
-    /// Panics if `mats` is outside `1..=16`.
+    /// Panics if `mats` is outside `1..=16`: even counts through
+    /// [`PowerParams::act_power_mw`](crate::PowerParams::act_power_mw), odd
+    /// ones through
+    /// [`ActivationEnergyModel::energy_per_activation_pj`](crate::ActivationEnergyModel::energy_per_activation_pj).
     pub fn activation_mats(&mut self, mats: u32) {
-        // sim-lint: allow(panic-reachability): hot-path callers derive mats from ActCoverage, which is clamped to 1..=16 at construction
-        assert!((1..=16).contains(&mats), "mats must be 1..=16, got {mats}");
+        // The protocol checker independently rejects out-of-range mats.
+        debug_assert!((1..=16).contains(&mats), "mats must be 1..=16, got {mats}");
         if mats.is_multiple_of(2) {
             self.activation(mats / 2);
         } else {
@@ -138,12 +141,14 @@ impl EnergyAccounting {
     /// # Panics
     ///
     /// Panics if `fraction` is not within `(0.0, 1.0]`.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract; callers pass dirty_words/8 with dirty_words in 1..=8"
+    )]
     pub fn write_line(&mut self, fraction: f64) {
-        // sim-lint: allow(panic-reachability): hot-path callers pass dirty_words/8 with dirty_words in 1..=8, so the fraction is always in (0, 1]
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "write fraction must be in (0, 1], got {fraction}"
-        );
+        if !(fraction > 0.0 && fraction <= 1.0) {
+            panic!("write fraction must be in (0, 1], got {fraction}");
+        }
         let (core, odt, term) = self.params.write_line_energy_pj(fraction);
         self.energy.wr += core;
         self.energy.wr_io += odt;

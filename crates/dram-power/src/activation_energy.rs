@@ -80,13 +80,14 @@ impl ActivationEnergyModel {
     /// # Panics
     ///
     /// Panics if `mats` is 0 or exceeds [`ActivationEnergyModel::mats_per_row`].
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract; the model extrapolates silently past a real row"
+    )]
     pub fn energy_per_activation_pj(&self, mats: u32) -> f64 {
-        // sim-lint: allow(panic-reachability): the hot-path caller (EnergyAccounting::activation_mats) validates 1..=16 and the paper model has mats_per_row = 16
-        assert!(
-            mats >= 1 && mats <= self.mats_per_row,
-            "mats must be 1..={}, got {mats}",
-            self.mats_per_row
-        );
+        if mats < 1 || mats > self.mats_per_row {
+            panic!("mats must be 1..={}, got {mats}", self.mats_per_row);
+        }
         f64::from(mats) * self.per_mat_energy_pj() + self.shared_energy_pj()
     }
 

@@ -37,6 +37,17 @@
 //! assert!(breakdown.act_pre > 0.0 && breakdown.total() > breakdown.act_pre);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 mod accounting;

@@ -234,12 +234,14 @@ impl PowerParams {
     /// # Panics
     ///
     /// Panics if `granularity_eighths` is not in `1..=8`.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract; callers derive the eighths from 1..=16 MATs"
+    )]
     pub fn act_power_mw(&self, granularity_eighths: u32) -> f64 {
-        // sim-lint: allow(panic-reachability): hot-path callers pass mats.div_ceil(2) with mats clamped to 1..=16, so eighths is always 1..=8
-        assert!(
-            (1..=8).contains(&granularity_eighths),
-            "activation granularity must be 1..=8 eighths, got {granularity_eighths}"
-        );
+        if !(1..=8).contains(&granularity_eighths) {
+            panic!("activation granularity must be 1..=8 eighths, got {granularity_eighths}");
+        }
         self.act_by_granularity_mw[(granularity_eighths - 1) as usize]
     }
 

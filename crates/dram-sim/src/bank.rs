@@ -87,17 +87,21 @@ impl Bank {
         self.auto_precharge_at = None;
     }
 
+    /// Counts a column access against the open row. The scheduler selects
+    /// only open banks, and the protocol checker independently rejects a
+    /// column command to a closed bank.
+    fn count_hit(&mut self) {
+        debug_assert!(self.open.is_some(), "column to a closed bank");
+        if let Some(open) = self.open.as_mut() {
+            open.hits_served += 1;
+        }
+    }
+
     /// Applies a read column command issued at `now`; returns the cycle the
     /// data burst completes.
     pub fn column_read(&mut self, now: u64, burst_cycles: u64, t: &TimingParams) -> u64 {
         debug_assert!(now >= self.ready_for_column_at);
-        #[expect(
-            clippy::expect_used,
-            reason = "the scheduler selects only open banks and the protocol checker independently rejects columns to closed banks"
-        )]
-        // sim-lint: allow(panic-reachability): the scheduler selects only open banks and the protocol checker independently rejects columns to closed banks
-        let open = self.open.as_mut().expect("column to a closed bank");
-        open.hits_served += 1;
+        self.count_hit();
         let done = now.saturating_add(t.tcas).saturating_add(burst_cycles);
         self.ready_for_precharge_at = self.ready_for_precharge_at.max(now + t.trtp);
         done
@@ -107,13 +111,7 @@ impl Bank {
     /// data burst completes on the bus.
     pub fn column_write(&mut self, now: u64, burst_cycles: u64, t: &TimingParams) -> u64 {
         debug_assert!(now >= self.ready_for_column_at);
-        #[expect(
-            clippy::expect_used,
-            reason = "the scheduler selects only open banks and the protocol checker independently rejects columns to closed banks"
-        )]
-        // sim-lint: allow(panic-reachability): the scheduler selects only open banks and the protocol checker independently rejects columns to closed banks
-        let open = self.open.as_mut().expect("column to a closed bank");
-        open.hits_served += 1;
+        self.count_hit();
         let burst_end = now.saturating_add(t.wl).saturating_add(burst_cycles);
         self.ready_for_precharge_at = self.ready_for_precharge_at.max(burst_end + t.twr);
         burst_end

@@ -352,7 +352,7 @@ impl ProtocolChecker {
                 if let Some(wr) = b.last_write_at {
                     let wr_done = wr
                         .saturating_add(t.wl)
-                        .saturating_add(t.burst_cycles)
+                        .saturating_add(self.burst_cycles)
                         .saturating_add(t.twr);
                     if cycle < wr_done {
                         return Err(Self::err(cycle, command, "tWR"));
@@ -628,6 +628,27 @@ mod tests {
         c2.observe(11, DramCommand::Write { rank: 0, bank: 0 })
             .unwrap();
         c2.observe(35, DramCommand::Precharge { rank: 0, bank: 0 })
+            .unwrap();
+    }
+
+    #[test]
+    fn twr_counts_from_the_end_of_the_effective_burst() {
+        // An FGA-style doubled burst ends at 11 + WL(8) + 8 = 27, so tWR
+        // (12) holds the precharge until 39.
+        let t = TimingParams::ddr3_1600_table3();
+        let mut c = ProtocolChecker::new(t, 2, 8, false, 2 * t.burst_cycles);
+        c.observe(0, act(0, 0, 5)).unwrap();
+        c.observe(11, DramCommand::Write { rank: 0, bank: 0 })
+            .unwrap();
+        let err = c
+            .observe(38, DramCommand::Precharge { rank: 0, bank: 0 })
+            .unwrap_err();
+        assert!(err.rule.contains("tWR"), "{err}");
+        let mut c2 = ProtocolChecker::new(t, 2, 8, false, 2 * t.burst_cycles);
+        c2.observe(0, act(0, 0, 5)).unwrap();
+        c2.observe(11, DramCommand::Write { rank: 0, bank: 0 })
+            .unwrap();
+        c2.observe(39, DramCommand::Precharge { rank: 0, bank: 0 })
             .unwrap();
     }
 

@@ -28,19 +28,16 @@ pub struct TimingParams {
     /// Four-activation window (tFAW).
     pub tfaw: u64,
     /// Row cycle (tRC = tRAS + tRP).
-    // sim-lint: allow(checker-parity): derived band (tRC = tRAS + tRP) validated by TimingParams::validate; tRAS and tRP are enforced individually
     pub trc: u64,
     /// Read to precharge (tRTP).
     pub trtp: u64,
     /// Write-to-read turnaround (tWTR), end of write burst to read command.
     pub twtr: u64,
     /// Power-down exit latency (tXP).
-    // sim-lint: allow(checker-parity): CKE is a dedicated pin, not a command-bus command; rank::exit_power_down folds tXP into rank availability which the per-command rules then cover
     pub txp: u64,
     /// Rank-to-rank switching penalty on the data bus (tRTRS).
     pub trtrs: u64,
     /// Average refresh interval (tREFI).
-    // sim-lint: allow(checker-parity): refresh scheduling policy (when to refresh), not per-command legality; the checker verifies tRFC around each REF it does see
     pub trefi: u64,
     /// Refresh cycle time (tRFC).
     pub trfc: u64,
@@ -117,38 +114,75 @@ impl TimingParams {
         }
     }
 
+    /// The largest value [`validate`](Self::validate) accepts for each
+    /// field. Every bound lies far above any DDR3 or DDR4 speed bin, and
+    /// together they keep every sum the scheduler and the protocol checker
+    /// form (a cycle count plus a few timing fields) far below `u64::MAX`.
+    /// The set is itself valid, so a run can be driven at it.
+    pub const MAX: TimingParams = TimingParams {
+        trcd: 1 << 12,
+        trp: 1 << 12,
+        tcas: 1 << 12,
+        wl: 1 << 12,
+        tras: 1 << 13,
+        twr: 1 << 12,
+        tccd: 1 << 12,
+        trrd: 1 << 12,
+        tfaw: 1 << 14,
+        trc: 3 << 12,
+        trtp: 1 << 12,
+        twtr: 1 << 12,
+        txp: 1 << 12,
+        trtrs: 1 << 12,
+        trefi: 1 << 16,
+        trfc: 1 << 14,
+        burst_cycles: 1 << 12,
+    };
+
     /// Checks internal consistency of the parameter set.
     ///
     /// # Errors
     ///
-    /// Returns a [`TimingError`] if `tRC != tRAS + tRP`, any parameter that
-    /// must be non-zero is zero, `tFAW < tRRD` (which would make the FAW
-    /// window meaningless), or `tRAS < tRCD + CL` (a row could close before
-    /// its first read completes).
+    /// Returns a [`TimingError`] if any parameter exceeds its bound in
+    /// [`TimingParams::MAX`], any parameter that must be non-zero is zero,
+    /// `tRC != tRAS + tRP`, `tFAW < tRRD` (which would make the FAW window
+    /// meaningless), or `tRAS < tRCD + CL` (a row could close before its
+    /// first read completes).
     pub fn validate(&self) -> Result<(), TimingError> {
-        if self.trc != self.tras + self.trp {
+        let max = Self::MAX;
+        for (name, v, bound, may_be_zero) in [
+            ("tRCD", self.trcd, max.trcd, false),
+            ("tRP", self.trp, max.trp, false),
+            ("CL", self.tcas, max.tcas, false),
+            ("WL", self.wl, max.wl, false),
+            ("tRAS", self.tras, max.tras, false),
+            ("tWR", self.twr, max.twr, false),
+            ("tCCD", self.tccd, max.tccd, false),
+            ("tRRD", self.trrd, max.trrd, false),
+            ("tFAW", self.tfaw, max.tfaw, false),
+            ("tRC", self.trc, max.trc, true),
+            ("tRTP", self.trtp, max.trtp, true),
+            ("tWTR", self.twtr, max.twtr, true),
+            ("tXP", self.txp, max.txp, true),
+            ("tRTRS", self.trtrs, max.trtrs, true),
+            ("tREFI", self.trefi, max.trefi, false),
+            ("tRFC", self.trfc, max.trfc, false),
+            ("burst", self.burst_cycles, max.burst_cycles, false),
+        ] {
+            if v > bound {
+                return Err(TimingError(format!(
+                    "{name} ({v}) exceeds its bound {bound}"
+                )));
+            }
+            if v == 0 && !may_be_zero {
+                return Err(TimingError(format!("{name} must be non-zero")));
+            }
+        }
+        if self.tras.checked_add(self.trp) != Some(self.trc) {
             return Err(TimingError(format!(
                 "tRC ({}) must equal tRAS ({}) + tRP ({})",
                 self.trc, self.tras, self.trp
             )));
-        }
-        for (name, v) in [
-            ("tRCD", self.trcd),
-            ("tRP", self.trp),
-            ("CL", self.tcas),
-            ("WL", self.wl),
-            ("tRAS", self.tras),
-            ("tWR", self.twr),
-            ("tCCD", self.tccd),
-            ("tRRD", self.trrd),
-            ("tFAW", self.tfaw),
-            ("tREFI", self.trefi),
-            ("tRFC", self.trfc),
-            ("burst", self.burst_cycles),
-        ] {
-            if v == 0 {
-                return Err(TimingError(format!("{name} must be non-zero")));
-            }
         }
         if self.tfaw < self.trrd {
             return Err(TimingError(format!(
@@ -156,7 +190,11 @@ impl TimingParams {
                 self.tfaw, self.trrd
             )));
         }
-        if self.tras < self.trcd + self.tcas {
+        if self
+            .trcd
+            .checked_add(self.tcas)
+            .is_none_or(|first_read| self.tras < first_read)
+        {
             return Err(TimingError(format!(
                 "tRAS ({}) must cover tRCD ({}) + CL ({}): a read issued at \
                  tRCD must complete before the row can close",
@@ -216,6 +254,61 @@ mod tests {
         t.trc = t.tras + t.trp;
         let err = t.validate().unwrap_err();
         assert!(err.to_string().contains("tRAS"), "{err}");
+    }
+
+    #[test]
+    fn the_bounds_are_a_valid_set() {
+        TimingParams::MAX.validate().unwrap();
+    }
+
+    #[test]
+    fn every_field_above_its_bound_is_rejected() {
+        let max = TimingParams::MAX;
+        type Field = (&'static str, fn(&mut TimingParams) -> &mut u64);
+        let fields: [Field; 17] = [
+            ("tRCD", |t| &mut t.trcd),
+            ("tRP", |t| &mut t.trp),
+            ("CL", |t| &mut t.tcas),
+            ("WL", |t| &mut t.wl),
+            ("tRAS", |t| &mut t.tras),
+            ("tWR", |t| &mut t.twr),
+            ("tCCD", |t| &mut t.tccd),
+            ("tRRD", |t| &mut t.trrd),
+            ("tFAW", |t| &mut t.tfaw),
+            ("tRC", |t| &mut t.trc),
+            ("tRTP", |t| &mut t.trtp),
+            ("tWTR", |t| &mut t.twtr),
+            ("tXP", |t| &mut t.txp),
+            ("tRTRS", |t| &mut t.trtrs),
+            ("tREFI", |t| &mut t.trefi),
+            ("tRFC", |t| &mut t.trfc),
+            ("burst", |t| &mut t.burst_cycles),
+        ];
+        for (name, field) in fields {
+            let mut t = max;
+            let bound = *field(&mut t);
+            for v in [bound + 1, u64::MAX] {
+                *field(&mut t) = v;
+                let err = t.validate().unwrap_err();
+                assert!(err.to_string().contains(name), "{name} = {v}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn wrapping_sums_are_rejected_not_accepted_or_panicking() {
+        // tRCD + CL wraps to 1 in release and panics in debug without
+        // checked arithmetic.
+        let mut t = TimingParams::ddr3_1600_table3();
+        t.trcd = u64::MAX;
+        t.tcas = 2;
+        assert!(t.validate().is_err());
+        // tRAS + tRP wraps to 0 = tRC.
+        let mut t = TimingParams::ddr3_1600_table3();
+        t.tras = u64::MAX;
+        t.trp = 1;
+        t.trc = 0;
+        assert!(t.validate().is_err());
     }
 
     #[test]

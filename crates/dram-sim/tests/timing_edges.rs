@@ -190,3 +190,43 @@ fn tccd_spaces_row_hits() {
         assert_eq!(pair[1] - pair[0], t.tccd, "row hits pipeline at tCCD");
     }
 }
+
+#[test]
+fn a_run_at_the_timing_bounds_finishes_without_overflow() {
+    // Every field at the largest value `TimingParams::validate` accepts.
+    // Test builds keep overflow checks on, so any cycle-plus-timing sum in
+    // the scheduler or the protocol checker that wrapped would panic here.
+    let max = TimingParams::MAX;
+    let schemes = [
+        SchemeBehavior::baseline(),
+        SchemeBehavior::fga_half(),
+        SchemeBehavior::pra(),
+    ];
+    for (scheme, policy) in schemes.into_iter().zip(PagePolicy::ALL) {
+        let mut cfg = DramConfig::paper_baseline(policy, scheme);
+        cfg.timing = max;
+        let mut mem = MemorySystem::try_new(cfg).expect("the bounds are a valid timing set");
+        // Two batches of row hits, row conflicts, rank switches and
+        // read/write turnarounds, with an idle gap between them long enough
+        // for power-down and a refresh.
+        for batch in 0..2u64 {
+            for i in 0..6u64 {
+                let l = loc((i % 2) as u32, (i % 3) as u32, (i / 3) as u32, i as u32);
+                let id = batch * 6 + i;
+                let req = if i % 2 == 0 {
+                    MemRequest::read(id, addr(l))
+                } else {
+                    MemRequest::write(id, addr(l), WordMask::single(i as u8))
+                };
+                mem.try_enqueue(req).unwrap();
+            }
+            assert_eq!(mem.try_run_until_idle(1_000_000), Ok(true));
+            for _ in 0..max.trefi + max.trfc {
+                mem.try_tick().unwrap();
+            }
+        }
+        let stats = mem.stats();
+        assert_eq!(stats.reads_completed + stats.writes_completed, 12);
+        assert!(stats.refreshes >= 1, "a refresh ran at tRFC = {}", max.trfc);
+    }
+}

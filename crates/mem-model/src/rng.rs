@@ -107,9 +107,14 @@ impl Rng {
     ///
     /// Panics if `n == 0`.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics argument contract; a zero bound has no defensible fallback"
+    )]
     pub fn bounded_u64(&mut self, n: u64) -> u64 {
-        // sim-lint: allow(panic-reachability): documented # Panics argument contract; a zero bound has no defensible fallback
-        assert!(n > 0, "empty range");
+        if n == 0 {
+            panic!("empty range");
+        }
         let mut m = u128::from(self.next_u64()) * u128::from(n);
         let mut lo = m as u64;
         if lo < n {

@@ -45,6 +45,17 @@
 //! assert_eq!(a.corrupt_mask(mask), b.corrupt_mask(mask));
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![deny(missing_docs)]
 
 use core::fmt;

@@ -45,13 +45,16 @@ impl Log2Histogram {
     /// # Panics
     ///
     /// Panics if `index > 64`.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract; quantile passes only indices of the 65 buckets"
+    )]
     pub fn bucket_bounds(index: usize) -> (u64, u64) {
-        // sim-lint: allow(panic-reachability): the only hot-path caller (quantile) iterates bucket indices 0..=64 by construction
-        assert!(index <= 64, "bucket index out of range");
         match index {
             0 => (0, 0),
+            1..=63 => (1 << (index - 1), (1 << index) - 1),
             64 => (1 << 63, u64::MAX),
-            b => (1 << (b - 1), (1 << b) - 1),
+            _ => panic!("bucket index {index} out of range"),
         }
     }
 
@@ -110,9 +113,14 @@ impl Log2Histogram {
     /// # Panics
     ///
     /// Panics if `q` is not within `0.0..=1.0`.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract; p50/p95/p99 pass constants inside 0.0..=1.0"
+    )]
     pub fn quantile(&self, q: f64) -> u64 {
-        // sim-lint: allow(panic-reachability): hot-path callers are p50/p95/p99, which pass compile-time constants inside 0.0..=1.0
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+        if !(0.0..=1.0).contains(&q) {
+            panic!("quantile out of range: {q}");
+        }
         if self.count == 0 {
             return 0;
         }

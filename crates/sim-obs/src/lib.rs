@@ -37,6 +37,17 @@
 //! assert_eq!(obs.snapshots()[0].counters[0], ("dram.activations".into(), 1));
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![deny(missing_docs)]
 
 mod event;

@@ -125,14 +125,16 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract of counter/gauge/histogram: one name has one kind"
+    )]
     fn register(&mut self, name: &str, slot: Slot) -> MetricId {
         if let Some(&id) = self.index.get(name) {
             let existing = self.slots[id.0].1.kind_name();
-            // sim-lint: allow(panic-reachability): every hot-path registration site binds one fixed name to one fixed kind, so a re-registration always agrees
-            assert!(
-                existing == slot.kind_name(),
-                "metric `{name}` already registered as a {existing}"
-            );
+            if existing != slot.kind_name() {
+                panic!("metric `{name}` already registered as a {existing}");
+            }
             return id;
         }
         let id = MetricId(self.slots.len());
@@ -181,6 +183,10 @@ impl MetricsRegistry {
     ///
     /// Panics if `id` is not a counter.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "a MetricId is minted only by this registry, with the kind its call site asked for"
+    )]
     pub fn add(&mut self, id: MetricId, delta: u64) {
         match &mut self.slots[id.0].1 {
             Slot::Counter { value, .. } => *value += delta,
@@ -195,17 +201,18 @@ impl MetricsRegistry {
     ///
     /// Panics if `id` is not a counter or `total` would move it backwards.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract: publishers mirror monotonic ledgers through counter ids this registry minted"
+    )]
     pub fn set_counter(&mut self, id: MetricId, total: u64) {
         match &mut self.slots[id.0].1 {
             Slot::Counter { value, .. } => {
-                // sim-lint: allow(panic-reachability): hot-path publishers mirror monotonically increasing ledgers through counter-typed ids
-                assert!(
-                    total >= *value,
-                    "counter moving backwards: {total} < {value}"
-                );
+                if total < *value {
+                    panic!("counter moving backwards: {total} < {value}");
+                }
                 *value = total;
             }
-            // sim-lint: allow(panic-reachability): MetricId is only minted by this registry with the kind its call site declared
             other => panic!("set_counter on a {}", other.kind_name()),
         }
     }
@@ -216,10 +223,13 @@ impl MetricsRegistry {
     ///
     /// Panics if `id` is not a gauge.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "a MetricId is minted only by this registry, with the kind its call site asked for"
+    )]
     pub fn set_gauge(&mut self, id: MetricId, value: f64) {
         match &mut self.slots[id.0].1 {
             Slot::Gauge { value: v } => *v = value,
-            // sim-lint: allow(panic-reachability): MetricId is only minted by this registry with the kind its call site declared
             other => panic!("set_gauge on a {}", other.kind_name()),
         }
     }
@@ -230,6 +240,10 @@ impl MetricsRegistry {
     ///
     /// Panics if `id` is not a histogram.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "a MetricId is minted only by this registry, with the kind its call site asked for"
+    )]
     pub fn observe(&mut self, id: MetricId, sample: u64) {
         match &mut self.slots[id.0].1 {
             Slot::Histogram { hist, .. } => hist.record(sample),

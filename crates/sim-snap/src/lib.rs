@@ -37,6 +37,17 @@
 //! [`SnapReader::section`]) name the component being serialized, turning a
 //! save/load ordering mismatch into a clear error instead of garbage state.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 use std::fmt;
