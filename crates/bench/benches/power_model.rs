@@ -15,11 +15,14 @@ fn bench_energy_accounting() {
                 0 => acc.activation(((i % 8) + 1) as u32),
                 1 => acc.read_line(),
                 2 => acc.write_line(((i % 8) as f64 + 1.0) / 8.0),
-                3 => acc.background_cycle(0, RankPowerState::ActiveStandby),
-                _ => acc.background_cycle(1, RankPowerState::PowerDown),
+                // Rank 0 changes state every ten cycles, charging the run
+                // of background cycles before each change.
+                3 if i % 10 == 3 => acc.set_rank_state(0, RankPowerState::ActiveStandby, i),
+                3 => acc.set_rank_state(0, RankPowerState::PrechargeStandby, i),
+                _ => acc.set_rank_state(1, RankPowerState::PowerDown, i),
             }
         }
-        acc.breakdown().total()
+        acc.breakdown_at(100_000).total()
     });
 }
 

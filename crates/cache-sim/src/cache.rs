@@ -210,12 +210,22 @@ impl Cache {
     /// Returns the victim, if any. No-op returning `None` if already
     /// resident.
     pub fn fill(&mut self, addr: PhysAddr) -> Option<Evicted> {
-        let line = addr.line_number();
-        self.clock += 1;
-        if let Some(slot) = self.find(line) {
-            self.stamps[slot] = self.clock;
-            return None;
+        match self.find(addr.line_number()) {
+            Some(slot) => {
+                self.clock += 1;
+                self.stamps[slot] = self.clock;
+                None
+            }
+            None => self.fill_absent(addr),
         }
+    }
+
+    /// [`fill`](Self::fill) of a line the caller knows is not resident
+    /// (its lookup just missed), without looking it up again.
+    pub fn fill_absent(&mut self, addr: PhysAddr) -> Option<Evicted> {
+        let line = addr.line_number();
+        debug_assert!(self.find(line).is_none(), "fill_absent of a resident line");
+        self.clock += 1;
         let set = self.set_index(line);
         let slots = self.slots(set);
         let victim = if slots.len() == self.config.ways {

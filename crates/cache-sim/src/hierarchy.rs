@@ -56,6 +56,24 @@ pub enum HitLevel {
     Memory,
 }
 
+/// The writebacks one access sends to DRAM: `(line address, FGD dirty
+/// mask)`.
+pub type Writeback = (PhysAddr, WordMask);
+
+/// Where one access was served and the DRAM reads it needs; its
+/// writebacks went to the caller's buffer (see
+/// [`CacheHierarchy::access_into`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Served {
+    /// Serving level.
+    pub level: HitLevel,
+    /// Demand line to fetch from DRAM (present iff `level == Memory`).
+    pub fill_read: Option<PhysAddr>,
+    /// Prefetched line to fetch from DRAM (next-line prefetcher; the line
+    /// is already allocated in the L2, the fetch is non-blocking).
+    pub prefetch_read: Option<PhysAddr>,
+}
+
 /// Result of one access: where it hit and the DRAM traffic it generated.
 #[derive(Debug, Clone)]
 pub struct Access {
@@ -67,7 +85,7 @@ pub struct Access {
     /// is already allocated in the L2, the fetch is non-blocking).
     pub prefetch_read: Option<PhysAddr>,
     /// Writebacks to send to DRAM: `(line address, FGD dirty mask)`.
-    pub writebacks: Vec<(PhysAddr, WordMask)>,
+    pub writebacks: Vec<Writeback>,
 }
 
 /// Counters the hierarchy collects.
@@ -299,17 +317,41 @@ impl CacheHierarchy {
 
     /// Performs one load (`store == None`) or store (`store == Some(mask)`)
     /// by core `core` at `addr`. Cache state updates immediately; the caller
-    /// handles the timing of any returned DRAM traffic.
+    /// handles the timing of any returned DRAM traffic. Allocates the
+    /// writeback list; [`access_into`](Self::access_into) appends to the
+    /// caller's buffer instead.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range or a store mask is empty.
     pub fn access(&mut self, core: usize, addr: PhysAddr, store: Option<WordMask>) -> Access {
+        let mut writebacks = Vec::new();
+        let served = self.access_into(core, addr, store, &mut writebacks);
+        Access {
+            level: served.level,
+            fill_read: served.fill_read,
+            prefetch_read: served.prefetch_read,
+            writebacks,
+        }
+    }
+
+    /// [`access`](Self::access) that appends the access's writebacks, in
+    /// order, to `writebacks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range or a store mask is empty.
+    pub fn access_into(
+        &mut self,
+        core: usize,
+        addr: PhysAddr,
+        store: Option<WordMask>,
+        writebacks: &mut impl Extend<Writeback>,
+    ) -> Served {
         let a = addr.line_aligned();
         if let Some(mask) = store {
             assert!(!mask.is_empty(), "a store must dirty at least one word");
         }
-        let mut writebacks = Vec::new();
 
         // L1.
         if self.l1s[core].access(a) {
@@ -317,11 +359,10 @@ impl CacheHierarchy {
             if let Some(mask) = store {
                 self.l1s[core].mark_dirty(a, mask);
             }
-            return Access {
+            return Served {
                 level: HitLevel::L1,
                 fill_read: None,
                 prefetch_read: None,
-                writebacks,
             };
         }
         self.stats.l1_misses += 1;
@@ -334,14 +375,14 @@ impl CacheHierarchy {
             HitLevel::L2
         } else {
             self.stats.l2_misses += 1;
-            if let Some(victim) = self.l2.fill(a) {
-                self.handle_l2_eviction(victim, &mut writebacks);
+            if let Some(victim) = self.l2.fill_absent(a) {
+                self.handle_l2_eviction(victim, writebacks);
             }
             if self.config.prefetch_next_line {
                 let next = a.offset(mem_model::LINE_BYTES);
                 if !self.l2.contains(next) {
-                    if let Some(victim) = self.l2.fill(next) {
-                        self.handle_l2_eviction(victim, &mut writebacks);
+                    if let Some(victim) = self.l2.fill_absent(next) {
+                        self.handle_l2_eviction(victim, writebacks);
                     }
                     self.stats.prefetches += 1;
                     prefetch_read = Some(next);
@@ -351,8 +392,9 @@ impl CacheHierarchy {
         };
 
         // Fill L1 (write-allocate) and apply the store's dirty bits.
-        if let Some(victim) = self.l1s[core].fill(a) {
-            self.handle_l1_eviction(victim, &mut writebacks);
+        // The L1 lookup missed, and back-invalidations only remove lines.
+        if let Some(victim) = self.l1s[core].fill_absent(a) {
+            self.handle_l1_eviction(victim, writebacks);
         }
         if let Some(mask) = store {
             self.l1s[core].mark_dirty(a, mask);
@@ -366,25 +408,22 @@ impl CacheHierarchy {
             from_memory,
         });
 
-        Access {
+        Served {
             level,
             fill_read: (level == HitLevel::Memory).then_some(a),
             prefetch_read,
-            writebacks,
         }
     }
 
     /// An L1 victim writes its FGD bits back into L2 (ORed, Section 4.1.4).
-    fn handle_l1_eviction(&mut self, victim: Evicted, writebacks: &mut Vec<(PhysAddr, WordMask)>) {
+    fn handle_l1_eviction(&mut self, victim: Evicted, writebacks: &mut impl Extend<Writeback>) {
         if victim.dirty.is_empty() {
             return;
         }
-        if self.l2.contains(victim.addr) {
-            self.l2.mark_dirty(victim.addr, victim.dirty);
-        } else {
+        if !self.l2.mark_dirty(victim.addr, victim.dirty) {
             // Inclusion slipped (the L2 victimised this line earlier this
             // very access); allocate and dirty it.
-            if let Some(l2_victim) = self.l2.fill(victim.addr) {
+            if let Some(l2_victim) = self.l2.fill_absent(victim.addr) {
                 self.handle_l2_eviction(l2_victim, writebacks);
             }
             self.l2.mark_dirty(victim.addr, victim.dirty);
@@ -402,7 +441,7 @@ impl CacheHierarchy {
     /// An L2 victim: back-invalidate L1 copies (inclusive hierarchy), merge
     /// their dirty bits, emit the writeback, and let DBI proactively clean
     /// the victim's row siblings.
-    fn handle_l2_eviction(&mut self, victim: Evicted, writebacks: &mut Vec<(PhysAddr, WordMask)>) {
+    fn handle_l2_eviction(&mut self, victim: Evicted, writebacks: &mut impl Extend<Writeback>) {
         let mut mask = victim.dirty;
         for l1 in &mut self.l1s {
             if let Some(copy) = l1.invalidate(victim.addr) {
@@ -422,7 +461,7 @@ impl CacheHierarchy {
         }
         self.stats.evict_dirty_hist[(mask.count_words() - 1) as usize] += 1;
         self.stats.writebacks += 1;
-        writebacks.push((victim.addr, mask));
+        writebacks.extend([(victim.addr, mask)]);
         let now = self.now;
         self.sink.emit(|| TraceEvent::CacheWriteback {
             cycle: now,
@@ -441,7 +480,7 @@ impl CacheHierarchy {
                 if let Some(sib_mask) = self.l2.clean(sibling) {
                     if !sib_mask.is_empty() {
                         self.stats.dbi_writebacks += 1;
-                        writebacks.push((sibling, sib_mask));
+                        writebacks.extend([(sibling, sib_mask)]);
                         self.sink.emit(|| TraceEvent::CacheWriteback {
                             cycle: now,
                             line: sibling.line_number(),
@@ -722,6 +761,28 @@ mod tests {
         for i in 1..4u64 {
             assert_eq!(h.l2.dirty_mask(line(1024 + i)), Some(WordMask::EMPTY));
         }
+    }
+
+    #[test]
+    fn access_into_appends_what_access_returns() {
+        // DBI on, so one access can send several writebacks.
+        let (mut owned, mut into) = (h(1, true), h(1, true));
+        let sentinel = (PhysAddr::new(0), WordMask::FULL);
+        let mut appended = std::collections::VecDeque::from([sentinel]);
+        let mut returned = vec![sentinel];
+        for n in 0..4_000u64 {
+            let line = PhysAddr::from_line_number(1024 + (n * 37) % 700);
+            let store = (n % 3 == 0).then(|| WordMask::single((n % 8) as u8));
+            let a = owned.access(0, line, store);
+            let served = into.access_into(0, line, store, &mut appended);
+            assert_eq!(
+                (served.level, served.fill_read, served.prefetch_read),
+                (a.level, a.fill_read, a.prefetch_read)
+            );
+            returned.extend(a.writebacks);
+        }
+        assert!(owned.stats().dbi_writebacks > 0);
+        assert!(appended.iter().eq(&returned));
     }
 
     #[test]

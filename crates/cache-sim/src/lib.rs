@@ -48,4 +48,6 @@ mod hierarchy;
 
 pub use cache::{Cache, CacheConfig, Evicted, LineMeta};
 pub use dbi::Dbi;
-pub use hierarchy::{Access, CacheHierarchy, HierarchyConfig, HierarchyStats, HitLevel};
+pub use hierarchy::{
+    Access, CacheHierarchy, HierarchyConfig, HierarchyStats, HitLevel, Served, Writeback,
+};

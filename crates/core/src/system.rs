@@ -477,20 +477,18 @@ impl SimBuilder {
         generators: &mut [Box<dyn InstructionSource>],
     ) {
         let warmup = self.effective_warmup();
+        let mut writebacks = Vec::new();
         for (core, generator) in generators.iter_mut().enumerate() {
             let mut mem_ops = 0;
             while mem_ops < warmup {
-                match generator.next_op() {
-                    cpu_sim::Op::Compute(_) => {}
-                    cpu_sim::Op::Load(a) => {
-                        hierarchy.access(core, a, None);
-                        mem_ops += 1;
-                    }
-                    cpu_sim::Op::Store(a, mask) => {
-                        hierarchy.access(core, a, Some(mask));
-                        mem_ops += 1;
-                    }
-                }
+                let (addr, store) = match generator.next_op() {
+                    cpu_sim::Op::Compute(_) => continue,
+                    cpu_sim::Op::Load(a) => (a, None),
+                    cpu_sim::Op::Store(a, mask) => (a, Some(mask)),
+                };
+                hierarchy.access_into(core, addr, store, &mut writebacks);
+                writebacks.clear();
+                mem_ops += 1;
             }
         }
     }

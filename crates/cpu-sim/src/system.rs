@@ -609,8 +609,8 @@ impl CpuSystem {
             core.stats.add_stall(StallKind::Ldq, 1);
             return Err(Stop::Blocked(StallKind::Ldq));
         }
-        let access = self.hierarchy.access(idx, addr, None);
-        self.cores[idx].pending_writebacks.extend(access.writebacks);
+        let writebacks = &mut self.cores[idx].pending_writebacks;
+        let access = self.hierarchy.access_into(idx, addr, None, writebacks);
         if let Some(fill) = access.fill_read {
             return self.issue_miss_reads(idx, access.prefetch_read, fill, false, now, slots);
         }
@@ -650,8 +650,10 @@ impl CpuSystem {
             core.stats.add_stall(StallKind::StoreBuffer, 1);
             return Err(Stop::Blocked(StallKind::StoreBuffer));
         }
-        let access = self.hierarchy.access(idx, addr, Some(mask));
-        self.cores[idx].pending_writebacks.extend(access.writebacks);
+        let writebacks = &mut self.cores[idx].pending_writebacks;
+        let access = self
+            .hierarchy
+            .access_into(idx, addr, Some(mask), writebacks);
         if let Some(fill) = access.fill_read {
             // Write-allocate: the line must be fetched, but the store buffer
             // hides the latency (non-blocking fill).

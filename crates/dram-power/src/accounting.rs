@@ -29,12 +29,19 @@ pub enum RankPowerState {
 /// | [`activation`](EnergyAccounting::activation) | `P_ACT(g) * tRC` (activation + precharge pair) |
 /// | [`read_line`](EnergyAccounting::read_line) | `RD`, `RD I/O`, `RD TERM` over one burst window |
 /// | [`write_line`](EnergyAccounting::write_line) | `WR` in full; `WR ODT`/`WR TERM` scaled by the transferred fraction |
-/// | [`background_cycle`](EnergyAccounting::background_cycle) | per-rank standby/power-down power over `tCK` |
+/// | [`set_rank_state`](EnergyAccounting::set_rank_state) | per-rank standby/power-down power over `tCK`, for every cycle in that state |
 /// | [`refresh`](EnergyAccounting::refresh) | `P_REF * tRFC` |
 ///
 /// Termination energy is only charged when the system has sibling ranks to
 /// terminate into (`ranks > 1`), mirroring the dual-rank channel of the
 /// paper's baseline.
+///
+/// Background power is charged per *run*: the cycles since the last rank
+/// state change, during which every rank's state is known. A state change
+/// (or [`settle`](EnergyAccounting::settle)) charges the run that ends
+/// there, one `tCK` of each rank's state power per cycle in cycle-major,
+/// rank order — the same `f64` additions in the same order as charging
+/// every rank on every cycle, so the totals are bit-identical to that.
 #[derive(Debug, Clone)]
 pub struct EnergyAccounting {
     params: PowerParams,
@@ -44,8 +51,11 @@ pub struct EnergyAccounting {
     reads: u64,
     writes: u64,
     refreshes: u64,
-    background_cycles: u64,
     residency: ResidencyLedger,
+    /// Each rank's background state since `run_start`.
+    run_states: Vec<RankPowerState>,
+    /// First cycle not yet charged to `energy.bg` and the residency ledger.
+    run_start: u64,
     /// Activation+precharge energy (pJ) split by MAT count: index `m`
     /// holds the energy of all `(m + 1)`-MAT activations.
     act_by_mats: [f64; MAT_GRANULARITIES],
@@ -67,8 +77,9 @@ impl EnergyAccounting {
             reads: 0,
             writes: 0,
             refreshes: 0,
-            background_cycles: 0,
             residency: ResidencyLedger::new(ranks),
+            run_states: vec![RankPowerState::PrechargeStandby; ranks],
+            run_start: 0,
             act_by_mats: [0.0; MAT_GRANULARITIES],
         }
     }
@@ -158,34 +169,80 @@ impl EnergyAccounting {
         self.writes += 1;
     }
 
-    /// Records one memory-clock cycle of background power for one rank,
-    /// accounting the cycle in the rank's residency ledger.
-    pub fn background_cycle(&mut self, rank: usize, state: RankPowerState) {
-        let mw = match state {
-            RankPowerState::ActiveStandby => self.params.act_stby_mw,
-            RankPowerState::PrechargeStandby => self.params.pre_stby_mw,
-            RankPowerState::PowerDown => self.params.pre_pdn_mw,
-        };
-        self.energy.bg += mw * self.params.timings.tck_ns;
-        self.background_cycles += 1;
-        self.residency.record_state(rank, state);
+    /// Records that `rank` is in `state` from cycle `now` on. A change
+    /// first charges the run of cycles before `now` (see
+    /// [`settle`](Self::settle)); an unchanged state costs nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is not below the rank count.
+    pub fn set_rank_state(&mut self, rank: usize, state: RankPowerState, now: u64) {
+        if self.run_states[rank] != state {
+            self.settle(now);
+            self.run_states[rank] = state;
+        }
     }
 
-    /// Records one cycle of per-bank open-row residency for `rank` (bit `b`
-    /// of `open_mask` = bank `b` holds an open row). Energy-neutral: only
-    /// the telemetry ledger moves.
-    pub fn bank_residency(&mut self, rank: usize, open_mask: u16) {
-        self.residency.record_open_banks(rank, open_mask);
+    /// Charges background energy and residency for every cycle before
+    /// `now` not yet charged, with each rank in its current state.
+    pub fn settle(&mut self, now: u64) {
+        let cycles = now.saturating_sub(self.run_start);
+        if cycles == 0 {
+            return;
+        }
+        self.energy.bg = self.background_at(now);
+        for (rank, &state) in self.run_states.iter().enumerate() {
+            self.residency.add_state_cycles(rank, state, cycles);
+        }
+        self.run_start = now;
     }
 
-    /// The per-rank power-state residency ledger.
+    /// `energy.bg` with the run up to `now` charged, cycle by cycle and
+    /// rank by rank.
+    fn background_at(&self, now: u64) -> f64 {
+        let p = &self.params;
+        let pj = [p.act_stby_mw, p.pre_stby_mw, p.pre_pdn_mw].map(|mw| mw * p.timings.tck_ns);
+        let mut bg = self.energy.bg;
+        for _ in self.run_start..now {
+            for &state in &self.run_states {
+                bg += pj[ResidencyLedger::state_index(state)];
+            }
+        }
+        bg
+    }
+
+    /// The background state `rank` is in as of the last
+    /// [`set_rank_state`](Self::set_rank_state).
+    pub fn rank_state(&self, rank: usize) -> RankPowerState {
+        self.run_states[rank]
+    }
+
+    /// Records `cycles` cycles of `bank` of `rank` holding an open row.
+    /// Energy-neutral: only the telemetry ledger moves.
+    pub fn add_bank_open_cycles(&mut self, rank: usize, bank: usize, cycles: u64) {
+        self.residency.add_bank_open_cycles(rank, bank, cycles);
+    }
+
+    /// The per-rank power-state residency ledger, as of the last
+    /// [`settle`](Self::settle) or rank state change.
     pub fn residency(&self) -> &ResidencyLedger {
         &self.residency
     }
 
-    /// Closes the residency window: per-rank state-cycle deltas since the
-    /// previous close (see [`ResidencyLedger::close_window`]).
-    pub fn residency_window(&mut self) -> Vec<[u64; 3]> {
+    /// The residency ledger with every cycle before `now` accounted.
+    pub fn residency_at(&self, now: u64) -> ResidencyLedger {
+        let mut ledger = self.residency.clone();
+        let cycles = now.saturating_sub(self.run_start);
+        for (rank, &state) in self.run_states.iter().enumerate() {
+            ledger.add_state_cycles(rank, state, cycles);
+        }
+        ledger
+    }
+
+    /// Closes the residency window at `now`: per-rank state-cycle deltas
+    /// since the previous close (see [`ResidencyLedger::close_window`]).
+    pub fn residency_window(&mut self, now: u64) -> Vec<[u64; 3]> {
+        self.settle(now);
         self.residency.close_window()
     }
 
@@ -202,52 +259,48 @@ impl EnergyAccounting {
         self.refreshes += 1;
     }
 
-    /// The accumulated energy breakdown (pJ).
+    /// The accumulated energy breakdown (pJ), background as of the last
+    /// [`settle`](Self::settle) or rank state change.
     pub fn breakdown(&self) -> EnergyBreakdown {
         self.energy
+    }
+
+    /// The energy breakdown (pJ) with every cycle before `now` charged.
+    pub fn breakdown_at(&self, now: u64) -> EnergyBreakdown {
+        EnergyBreakdown {
+            bg: self.background_at(now),
+            ..self.energy
+        }
     }
 
     /// Event counts: (activations, reads, writes, refreshes).
     pub fn event_counts(&self) -> (u64, u64, u64, u64) {
         (self.activations, self.reads, self.writes, self.refreshes)
     }
-
-    /// Resets all accumulated energy and counts, keeping the parameters.
-    pub fn reset(&mut self) {
-        self.energy = EnergyBreakdown::default();
-        self.activations = 0;
-        self.reads = 0;
-        self.writes = 0;
-        self.refreshes = 0;
-        self.background_cycles = 0;
-        self.residency.reset();
-        self.act_by_mats = [0.0; MAT_GRANULARITIES];
-    }
 }
 
 impl sim_snap::SnapState for EnergyAccounting {
     // Parameters and rank count are configuration; everything that
     // accumulates (energies bit-exact via f64 bits, event counts, the
-    // residency ledger) travels.
+    // residency ledger) travels, and so does the run not yet charged.
     fn snap_save(&self, w: &mut sim_snap::SnapWriter) {
         w.section("energy-accounting");
         let e = self.energy;
         for v in [e.act_pre, e.rd, e.wr, e.rd_io, e.wr_io, e.bg, e.refresh] {
             w.f64(v);
         }
-        for v in [
-            self.activations,
-            self.reads,
-            self.writes,
-            self.refreshes,
-            self.background_cycles,
-        ] {
+        for v in [self.activations, self.reads, self.writes, self.refreshes] {
             w.u64(v);
         }
         for v in self.act_by_mats {
             w.f64(v);
         }
         self.residency.snap_save(w);
+        w.u64(self.run_start);
+        w.seq(self.run_states.len());
+        for &state in &self.run_states {
+            w.u8(ResidencyLedger::state_index(state) as u8);
+        }
     }
 
     fn snap_load(&mut self, r: &mut sim_snap::SnapReader) -> Result<(), sim_snap::SnapError> {
@@ -265,11 +318,31 @@ impl sim_snap::SnapState for EnergyAccounting {
         self.reads = r.u64()?;
         self.writes = r.u64()?;
         self.refreshes = r.u64()?;
-        self.background_cycles = r.u64()?;
         for v in &mut self.act_by_mats {
             *v = r.f64()?;
         }
-        self.residency.snap_load(r)
+        self.residency.snap_load(r)?;
+        self.run_start = r.u64()?;
+        let ranks = r.seq()?;
+        if ranks != self.run_states.len() {
+            return Err(sim_snap::SnapError::Decode(format!(
+                "snapshot holds {ranks} rank power states, this system has {}",
+                self.run_states.len()
+            )));
+        }
+        for state in &mut self.run_states {
+            *state = match r.u8()? {
+                0 => RankPowerState::ActiveStandby,
+                1 => RankPowerState::PrechargeStandby,
+                2 => RankPowerState::PowerDown,
+                tag => {
+                    return Err(sim_snap::SnapError::Decode(format!(
+                        "unknown rank power state tag {tag}"
+                    )))
+                }
+            };
+        }
+        Ok(())
     }
 }
 
@@ -286,7 +359,7 @@ mod tests {
         let mut a = acc(4);
         a.activation(8);
         let full = a.breakdown().act_pre;
-        a.reset();
+        let mut a = acc(4);
         a.activation(1);
         let eighth = a.breakdown().act_pre;
         assert!((full / eighth - 22.2 / 3.7).abs() < 1e-9);
@@ -327,8 +400,9 @@ mod tests {
             .iter()
             .map(|&s| {
                 let mut a = acc(2);
-                a.background_cycle(0, s);
-                a.breakdown().bg
+                a.set_rank_state(0, s, 0);
+                a.set_rank_state(1, RankPowerState::PowerDown, 0);
+                a.breakdown_at(1).bg
             })
             .collect();
         assert!(energies[0] < energies[1] && energies[1] < energies[2]);
@@ -373,16 +447,13 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_reset() {
+    fn counts() {
         let mut a = acc(2);
         a.activation(8);
         a.read_line();
         a.write_line(1.0);
         a.refresh();
         assert_eq!(a.event_counts(), (1, 1, 1, 1));
-        a.reset();
-        assert_eq!(a.event_counts(), (0, 0, 0, 0));
-        assert_eq!(a.breakdown().total(), 0.0);
     }
 
     #[test]
@@ -394,17 +465,58 @@ mod tests {
     #[test]
     fn residency_tracks_background_cycles_per_rank() {
         let mut a = acc(2);
-        for _ in 0..10 {
-            a.background_cycle(0, RankPowerState::ActiveStandby);
-            a.background_cycle(1, RankPowerState::PowerDown);
-        }
-        a.background_cycle(1, RankPowerState::PrechargeStandby);
-        let r = a.residency();
-        assert_eq!(r.ranks()[0].state_cycles, [10, 0, 0]);
+        a.set_rank_state(0, RankPowerState::ActiveStandby, 0);
+        a.set_rank_state(1, RankPowerState::PowerDown, 0);
+        a.set_rank_state(1, RankPowerState::PrechargeStandby, 10);
+        assert_eq!(a.residency().ranks()[1].state_cycles, [0, 0, 10]);
+        let r = a.residency_at(11);
+        assert_eq!(r.ranks()[0].state_cycles, [11, 0, 0]);
         assert_eq!(r.ranks()[1].state_cycles, [0, 1, 10]);
-        assert_eq!(r.total_state_cycles(), 21);
-        a.reset();
-        assert_eq!(a.residency().total_state_cycles(), 0);
+        assert_eq!(r.total_state_cycles(), 22);
+        a.settle(11);
+        assert_eq!(a.residency(), &r);
+    }
+
+    #[test]
+    fn background_runs_charge_the_same_bits_as_every_cycle() {
+        // Charging a run at once must add the same f64s in the same order
+        // as charging every rank on every cycle. DDR4's tCK makes the
+        // per-cycle energies inexact in binary, so a reordered or
+        // multiplied-out sum would change the bits.
+        let p = PowerParams::ddr4_2400_estimate();
+        let pj = |s| match s {
+            RankPowerState::ActiveStandby => p.act_stby_mw * p.timings.tck_ns,
+            RankPowerState::PrechargeStandby => p.pre_stby_mw * p.timings.tck_ns,
+            RankPowerState::PowerDown => p.pre_pdn_mw * p.timings.tck_ns,
+        };
+        let plan = [
+            (0, RankPowerState::ActiveStandby, 3),
+            (2, RankPowerState::PowerDown, 3),
+            (1, RankPowerState::ActiveStandby, 17),
+            (0, RankPowerState::PowerDown, 40),
+            (0, RankPowerState::PowerDown, 41),
+        ];
+        let mut a = EnergyAccounting::new(p, 3);
+        let mut states = [RankPowerState::PrechargeStandby; 3];
+        let mut bg = 0.0;
+        let mut cycle = 0;
+        for (rank, state, at) in plan {
+            while cycle < at {
+                for s in states {
+                    bg += pj(s);
+                }
+                cycle += 1;
+            }
+            a.set_rank_state(rank, state, at);
+            states[rank] = state;
+        }
+        // The last entry changes nothing, so nothing was charged for it.
+        assert_ne!(a.breakdown().bg.to_bits(), bg.to_bits());
+        assert_eq!(a.breakdown_at(41).bg.to_bits(), bg.to_bits());
+        for s in states {
+            bg += pj(s);
+        }
+        assert_eq!(a.breakdown_at(42).bg.to_bits(), bg.to_bits());
     }
 
     #[test]
@@ -421,9 +533,9 @@ mod tests {
     }
 
     #[test]
-    fn bank_residency_is_energy_neutral() {
+    fn bank_open_cycles_are_energy_neutral() {
         let mut a = acc(2);
-        a.bank_residency(0, 0b11);
+        a.add_bank_open_cycles(0, 1, 2);
         assert_eq!(a.breakdown().total(), 0.0);
         assert_eq!(a.residency().ranks()[0].open_bank_cycles(), 2);
     }

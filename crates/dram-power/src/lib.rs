@@ -31,9 +31,9 @@
 //! acc.activation(1); // one 1/8-row PRA activation
 //! acc.read_line();
 //! acc.write_line(0.25); // PRA write transferring 2 of 8 words
-//! acc.background_cycle(0, RankPowerState::ActiveStandby);
+//! acc.set_rank_state(0, RankPowerState::ActiveStandby, 0); // rank 0 active from cycle 0
 //! acc.refresh();
-//! let breakdown = acc.breakdown();
+//! let breakdown = acc.breakdown_at(100); // background charged for cycles 0..100
 //! assert!(breakdown.act_pre > 0.0 && breakdown.total() > breakdown.act_pre);
 //! ```
 

@@ -4,9 +4,11 @@
 //! totals into a live signal:
 //!
 //! * [`ResidencyLedger`] — per-rank power-state residency cycles (plus
-//!   per-bank open-row cycles), fed one cycle at a time from the
-//!   simulator's background-power loop. Conservation invariant: for every
-//!   rank, the three state counters sum exactly to the cycles ticked.
+//!   per-bank open-row cycles), fed a run of cycles at a time: the
+//!   accountant adds a run of unchanged rank states when a rank changes
+//!   state, and the simulator adds a bank's open cycles when it closes.
+//!   Conservation invariant: for every rank, the three state counters sum
+//!   exactly to the cycles accounted.
 //! * [`PowerRail`] — converts the monotonically growing picojoule totals
 //!   into epoch-average milliwatts per component by snapshotting the
 //!   accumulator at each window close. The rail never keeps a parallel
@@ -54,10 +56,12 @@ impl RankResidency {
 
 /// Per-rank power-state residency ledger.
 ///
-/// The simulator calls [`ResidencyLedger::record_state`] once per rank per
-/// memory cycle (and [`ResidencyLedger::record_open_banks`] with the rank's
-/// open-bank bitmask when bank-level telemetry is on). Epoch publication
-/// reads cumulative counters directly and takes per-window deltas through
+/// [`EnergyAccounting`](crate::EnergyAccounting) adds each run of cycles in
+/// which no rank changed state through [`ResidencyLedger::add_state_cycles`],
+/// and the simulator adds a bank's open-row cycles through
+/// [`ResidencyLedger::add_bank_open_cycles`] when the bank closes (with
+/// bank-level telemetry on). Epoch publication reads cumulative counters
+/// directly and takes per-window deltas through
 /// [`ResidencyLedger::close_window`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResidencyLedger {
@@ -91,29 +95,25 @@ impl ResidencyLedger {
         ["act_stby", "pre_stby", "pdn"]
     }
 
-    /// Accounts one cycle of `rank` sitting in `state`. Out-of-range ranks
-    /// are ignored (legacy callers pass 0 on single-ledger setups).
+    /// Accounts `cycles` cycles of `rank` sitting in `state`. Out-of-range
+    /// ranks are ignored.
     #[inline]
-    pub fn record_state(&mut self, rank: usize, state: RankPowerState) {
+    pub fn add_state_cycles(&mut self, rank: usize, state: RankPowerState, cycles: u64) {
         if let Some(r) = self.ranks.get_mut(rank) {
-            r.state_cycles[Self::state_index(state)] += 1;
+            r.state_cycles[Self::state_index(state)] += cycles;
         }
     }
 
-    /// Accounts one cycle of open-row residency for every bank set in
-    /// `open_mask` (bit `b` = bank `b` holds an open row).
+    /// Accounts `cycles` cycles of `bank` of `rank` holding an open row.
+    /// Out-of-range ranks and banks are ignored.
     #[inline]
-    pub fn record_open_banks(&mut self, rank: usize, open_mask: u16) {
-        if open_mask == 0 {
-            return;
-        }
-        if let Some(r) = self.ranks.get_mut(rank) {
-            let mut mask = open_mask;
-            while mask != 0 {
-                let b = mask.trailing_zeros() as usize;
-                r.bank_open_cycles[b] += 1;
-                mask &= mask - 1;
-            }
+    pub fn add_bank_open_cycles(&mut self, rank: usize, bank: usize, cycles: u64) {
+        if let Some(open) = self
+            .ranks
+            .get_mut(rank)
+            .and_then(|r| r.bank_open_cycles.get_mut(bank))
+        {
+            *open += cycles;
         }
     }
 
@@ -123,8 +123,8 @@ impl ResidencyLedger {
     }
 
     /// Sum of state cycles over every rank — equals
-    /// `elapsed cycles x ranks` when the ledger is ticked every cycle
-    /// (the conservation invariant).
+    /// `elapsed cycles x ranks` once every cycle is accounted (the
+    /// conservation invariant).
     pub fn total_state_cycles(&self) -> u64 {
         self.ranks.iter().map(RankResidency::total_cycles).sum()
     }
@@ -145,16 +145,6 @@ impl ResidencyLedger {
                 delta
             })
             .collect()
-    }
-
-    /// Resets every counter and window base to zero.
-    pub fn reset(&mut self) {
-        for r in &mut self.ranks {
-            *r = RankResidency::new();
-        }
-        for base in &mut self.window_base {
-            *base = [0; 3];
-        }
     }
 }
 
@@ -304,15 +294,10 @@ mod tests {
     #[test]
     fn ledger_conserves_cycles_per_rank() {
         let mut l = ResidencyLedger::new(2);
-        for cycle in 0..100u64 {
-            let state = match cycle % 3 {
-                0 => RankPowerState::ActiveStandby,
-                1 => RankPowerState::PrechargeStandby,
-                _ => RankPowerState::PowerDown,
-            };
-            l.record_state(0, state);
-            l.record_state(1, RankPowerState::PowerDown);
-        }
+        l.add_state_cycles(0, RankPowerState::ActiveStandby, 34);
+        l.add_state_cycles(0, RankPowerState::PrechargeStandby, 33);
+        l.add_state_cycles(0, RankPowerState::PowerDown, 33);
+        l.add_state_cycles(1, RankPowerState::PowerDown, 100);
         assert_eq!(l.ranks()[0].total_cycles(), 100);
         assert_eq!(l.ranks()[1].total_cycles(), 100);
         assert_eq!(l.total_state_cycles(), 200);
@@ -322,13 +307,9 @@ mod tests {
     #[test]
     fn ledger_window_deltas_sum_to_cumulative() {
         let mut l = ResidencyLedger::new(1);
-        for _ in 0..10 {
-            l.record_state(0, RankPowerState::ActiveStandby);
-        }
+        l.add_state_cycles(0, RankPowerState::ActiveStandby, 10);
         let w0 = l.close_window();
-        for _ in 0..5 {
-            l.record_state(0, RankPowerState::PrechargeStandby);
-        }
+        l.add_state_cycles(0, RankPowerState::PrechargeStandby, 5);
         let w1 = l.close_window();
         assert_eq!(w0[0], [10, 0, 0]);
         assert_eq!(w1[0], [0, 5, 0]);
@@ -336,11 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn ledger_bank_open_cycles_follow_mask() {
+    fn ledger_bank_open_cycles_add_per_bank() {
         let mut l = ResidencyLedger::new(1);
-        l.record_open_banks(0, 0b101);
-        l.record_open_banks(0, 0b001);
-        l.record_open_banks(0, 0);
+        l.add_bank_open_cycles(0, 0, 2);
+        l.add_bank_open_cycles(0, 2, 1);
         assert_eq!(l.ranks()[0].bank_open_cycles[0], 2);
         assert_eq!(l.ranks()[0].bank_open_cycles[1], 0);
         assert_eq!(l.ranks()[0].bank_open_cycles[2], 1);
@@ -348,11 +328,13 @@ mod tests {
     }
 
     #[test]
-    fn ledger_ignores_out_of_range_rank() {
+    fn ledger_ignores_out_of_range_rank_and_bank() {
         let mut l = ResidencyLedger::new(1);
-        l.record_state(7, RankPowerState::PowerDown);
-        l.record_open_banks(7, 0xFF);
+        l.add_state_cycles(7, RankPowerState::PowerDown, 1);
+        l.add_bank_open_cycles(7, 0, 1);
+        l.add_bank_open_cycles(0, MAX_BANKS, 1);
         assert_eq!(l.total_state_cycles(), 0);
+        assert_eq!(l.ranks()[0].open_bank_cycles(), 0);
     }
 
     #[test]

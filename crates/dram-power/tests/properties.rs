@@ -35,28 +35,33 @@ fn random_events(rng: &mut Rng, max_len: usize) -> Vec<Event> {
     (0..len).map(|_| random_event(rng)).collect()
 }
 
-fn apply(acc: &mut EnergyAccounting, e: Event) {
+/// Applies `e` at cycle `*now`; a background event advances the clock by
+/// one cycle with rank 0 in the given state.
+fn apply(acc: &mut EnergyAccounting, e: Event, now: &mut u64) {
     match e {
         Event::Act(g) => acc.activation(g),
         Event::ActMats(m) => acc.activation_mats(m),
         Event::Read => acc.read_line(),
         Event::Write(words) => acc.write_line(f64::from(words) / 8.0),
-        Event::Bg(state) => acc.background_cycle(
-            0,
-            match state {
+        Event::Bg(state) => {
+            let state = match state {
                 0 => RankPowerState::ActiveStandby,
                 1 => RankPowerState::PrechargeStandby,
                 _ => RankPowerState::PowerDown,
-            },
-        ),
+            };
+            acc.set_rank_state(0, state, *now);
+            *now += 1;
+            acc.settle(*now);
+        }
         Event::Refresh => acc.refresh(),
     }
 }
 
 fn total(events: &[Event]) -> EnergyBreakdown {
     let mut acc = EnergyAccounting::new(PowerParams::paper_table3(), 4);
+    let mut now = 0;
     for &e in events {
-        apply(&mut acc, e);
+        apply(&mut acc, e, &mut now);
     }
     acc.breakdown()
 }

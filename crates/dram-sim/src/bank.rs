@@ -16,6 +16,8 @@ pub struct OpenRow {
     pub mats: u32,
     /// Column accesses served from this open row so far (fairness cap).
     pub hits_served: u32,
+    /// Cycle of the activate that opened the row.
+    pub opened_at: u64,
 }
 
 /// One DRAM bank, modelled as an open-row record plus timing fences.
@@ -81,6 +83,7 @@ impl Bank {
             coverage,
             mats,
             hits_served: 0,
+            opened_at: now,
         });
         self.ready_for_column_at = now.saturating_add(t.trcd).saturating_add(extra_cycles);
         self.ready_for_precharge_at = now + t.tras;
@@ -123,29 +126,25 @@ impl Bank {
         self.auto_precharge_at = Some(self.ready_for_precharge_at);
     }
 
-    /// Applies a precharge at `now` (explicit command or auto-precharge).
+    /// Applies a precharge at `now` (explicit command or auto-precharge);
+    /// returns the cycles the row was open.
     ///
     /// # Panics
     ///
     /// Panics (debug) if the bank is closed or precharge timing is not met.
-    pub fn precharge(&mut self, now: u64, t: &TimingParams) {
+    pub fn precharge(&mut self, now: u64, t: &TimingParams) -> u64 {
         debug_assert!(self.open.is_some(), "PRE to a closed bank");
         debug_assert!(now >= self.ready_for_precharge_at, "PRE too early");
-        self.open = None;
+        let opened_at = self.open.take().map_or(now, |open| open.opened_at);
         self.auto_precharge_at = None;
         self.ready_for_activate_at = now + t.trp;
+        now - opened_at
     }
 
-    /// Fires a pending auto-precharge if its time has come. Returns `true`
-    /// if the bank closed this cycle.
-    pub fn tick_auto_precharge(&mut self, now: u64, t: &TimingParams) -> bool {
-        if let Some(at) = self.auto_precharge_at {
-            if now >= at && now >= self.ready_for_precharge_at {
-                self.precharge(now, t);
-                return true;
-            }
-        }
-        false
+    /// Whether an armed auto-precharge may fire at `now`.
+    pub fn auto_precharge_due(&self, now: u64) -> bool {
+        self.auto_precharge_at
+            .is_some_and(|at| now >= at && now >= self.ready_for_precharge_at)
     }
 
     /// Widens the coverage of the open row (used when a later same-row write
@@ -172,6 +171,7 @@ impl sim_snap::SnapState for Bank {
             w.u8(open.coverage.bits());
             w.u32(open.mats);
             w.u32(open.hits_served);
+            w.u64(open.opened_at);
         }
         w.u64(self.ready_for_column_at);
         w.u64(self.ready_for_precharge_at);
@@ -186,6 +186,7 @@ impl sim_snap::SnapState for Bank {
                 coverage: WordMask::from_bits(r.u8()?),
                 mats: r.u32()?,
                 hits_served: r.u32()?,
+                opened_at: r.u64()?,
             })
         } else {
             None
@@ -245,7 +246,7 @@ mod tests {
     fn precharge_closes_and_fences_activate() {
         let mut b = Bank::new();
         b.activate(0, 1, WordMask::FULL, 16, 0, &t());
-        b.precharge(28, &t());
+        assert_eq!(b.precharge(28, &t()), 28, "open for cycles 0..28");
         assert!(!b.is_open());
         assert_eq!(b.ready_for_activate_at, 39, "tRC = tRAS + tRP");
     }
@@ -255,10 +256,10 @@ mod tests {
         let mut b = Bank::new();
         b.activate(0, 1, WordMask::FULL, 16, 0, &t());
         b.column_read(11, 4, &t());
+        assert!(!b.auto_precharge_due(28), "not armed");
         b.arm_auto_precharge();
-        assert!(!b.tick_auto_precharge(27, &t()), "tRAS not yet satisfied");
-        assert!(b.tick_auto_precharge(28, &t()));
-        assert!(!b.is_open());
+        assert!(!b.auto_precharge_due(27), "tRAS not yet satisfied");
+        assert!(b.auto_precharge_due(28));
     }
 
     #[test]

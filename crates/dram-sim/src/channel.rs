@@ -66,12 +66,40 @@ impl DataBus {
         start
     }
 
+    /// The banks, as `masks` bits, on ranks whose burst of `dir` could
+    /// start by cycle `by`: the last rank on the bus from `earliest_start`
+    /// on, every other rank once the rank-switch gap has passed too.
+    fn ready_banks(
+        &self,
+        dir: Dir,
+        by: u64,
+        turnaround: u64,
+        rank_switch: u64,
+        masks: &BankMasks,
+    ) -> u64 {
+        let last = self.last_rank.unwrap_or(0);
+        let start = self.earliest_start(dir, last, turnaround, rank_switch);
+        let switch = if self.last_rank.is_some() {
+            rank_switch
+        } else {
+            0
+        };
+        banks_if(by >= start + switch, u64::MAX)
+            | banks_if(by >= start, masks.rank_bits(last as usize))
+    }
+
     fn reserve(&mut self, start: u64, end: u64, dir: Dir, rank: u32) {
         debug_assert!(start >= self.busy_until, "data bus double-booked");
         self.busy_until = end;
         self.last_dir = Some(dir);
         self.last_rank = Some(rank);
     }
+}
+
+/// `banks` when `cond` holds, else none; without a branch, since the
+/// readiness conditions flip unpredictably from cycle to cycle.
+fn banks_if(cond: bool, banks: u64) -> u64 {
+    u64::from(cond).wrapping_neg() & banks
 }
 
 /// An issued read waiting for its data burst to finish.
@@ -84,14 +112,46 @@ struct InflightRead {
     enqueued_at: u64,
 }
 
+/// The rank-level conditions of the FR-FCFS passes at one cycle, as bank
+/// masks over the channel (a rank's condition sets all its banks' bits).
+/// Derived at most once per tick, by the first pass after the refresh pass
+/// that has candidate banks, and shared by the passes after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Readiness {
+    /// The cycle the masks hold for; `u64::MAX` once a command issued in
+    /// that cycle moved the bus or rank state they derive from.
+    at: u64,
+    /// Banks on ranks past their availability fence (power-down exit,
+    /// refresh).
+    available: u64,
+    /// Banks on available ranks whose read (`[0]`) or write (`[1]`) burst,
+    /// issued now, would find the data bus free.
+    column: [u64; 2],
+    /// Banks on available, refresh-idle ranks that refresh debt does not
+    /// force closed and that are past tRRD.
+    activate: u64,
+}
+
+impl Readiness {
+    const STALE: Readiness = Readiness {
+        at: u64::MAX,
+        available: 0,
+        column: [0; 2],
+        activate: 0,
+    };
+}
+
 /// One channel's controller, ranks and queues.
 #[derive(Debug)]
 pub(crate) struct Channel {
     /// This channel's index, stamped into every trace event it emits.
     index: u8,
-    pub ranks: Vec<Rank>,
-    pub read_q: Vec<QueueEntry>,
-    pub write_q: Vec<QueueEntry>,
+    ranks: Vec<Rank>,
+    /// Every bank of the channel at its `BankMasks` flat index,
+    /// `rank * banks_per_rank + bank`.
+    banks: Vec<Bank>,
+    read_q: Vec<QueueEntry>,
+    write_q: Vec<QueueEntry>,
     inflight_reads: Vec<InflightRead>,
     inflight_write_ends: Vec<u64>,
     /// The earliest `done_at` or write end in flight (`u64::MAX` when
@@ -114,9 +174,15 @@ pub(crate) struct Channel {
     /// full-row activations immediately.
     recovery: Option<RecoveryEngine>,
     /// Open-bank, queued-work and row-hit bitmasks plus each queue's
-    /// packed targets: a cache of `ranks`, `read_q` and `write_q`, rebuilt
+    /// packed targets: a cache of `banks`, `read_q` and `write_q`, rebuilt
     /// on restore and never serialized.
     masks: BankMasks,
+    /// The rank-level readiness of the last tick that needed it; never
+    /// serialized.
+    ready: Readiness,
+    /// The `(bank, row)` targets the activate pass has tried this cycle:
+    /// scratch space, kept to reuse its allocation.
+    tried: Vec<u64>,
 }
 
 impl Channel {
@@ -128,12 +194,13 @@ impl Channel {
                 // Stagger refreshes across ranks and channels so they do not
                 // all stall the system simultaneously.
                 let offset = (r as u64 + channel_index as u64) * stagger / 2 + cfg.timing.trefi;
-                Rank::new(cfg.geometry.banks_per_rank, offset)
+                Rank::new(offset)
             })
             .collect();
         Channel {
             index: channel_index as u8,
             ranks,
+            banks: vec![Bank::new(); nranks * cfg.geometry.banks_per_rank],
             read_q: Vec::with_capacity(cfg.queues.read_capacity),
             write_q: Vec::with_capacity(cfg.queues.write_capacity),
             inflight_reads: Vec::new(),
@@ -145,6 +212,8 @@ impl Channel {
             escalated: None,
             recovery: cfg.recovery.map(RecoveryEngine::new),
             masks: BankMasks::new(nranks, cfg.geometry.banks_per_rank),
+            ready: Readiness::STALE,
+            tried: Vec::new(),
             checker: cfg.verify_protocol.then(|| {
                 ProtocolChecker::new(
                     cfg.timing,
@@ -246,19 +315,21 @@ impl Channel {
         loc: Location,
         now: u64,
         cfg: &DramConfig,
+        energy: &mut EnergyAccounting,
         o: &mut DramObs,
     ) {
         let ch = self.index;
         // CKE is a dedicated pin: arriving work wakes the rank without
         // consuming a command-bus slot, paying tXP before the first command.
-        if self.ranks[loc.rank as usize].powered_down {
+        let r = loc.rank as usize;
+        if self.ranks[r].exit_power_down(now, &cfg.timing) {
             o.obs.emit(|| TraceEvent::PowerUp {
                 cycle: now,
                 channel: ch,
                 rank: loc.rank as u8,
             });
+            self.update_power_state(r, now, energy);
         }
-        self.ranks[loc.rank as usize].exit_power_down(now, &cfg.timing);
         let entry = QueueEntry {
             req,
             loc,
@@ -297,6 +368,40 @@ impl Channel {
             + self.inflight_write_ends.len()
     }
 
+    /// Global (channel-major) index of this channel's first rank, the
+    /// index the energy accountant and its residency ledger use.
+    fn rank_base(&self) -> usize {
+        self.ranks.len() * self.index as usize
+    }
+
+    /// Positions of rank `r`'s banks in `banks`.
+    fn rank_banks(&self, r: usize) -> std::ops::Range<usize> {
+        let per_rank = self.banks.len() / self.ranks.len();
+        r * per_rank..(r + 1) * per_rank
+    }
+
+    /// Records rank `r`'s background power state from cycle `now` on.
+    /// Called wherever the state can change: a bank opening or closing, a
+    /// refresh starting or finishing, power-down entry and exit.
+    fn update_power_state(&self, r: usize, now: u64, energy: &mut EnergyAccounting) {
+        let any_open = self.masks.rank_field(self.masks.open(), r) != 0;
+        energy.set_rank_state(
+            self.rank_base() + r,
+            self.ranks[r].power_state(any_open),
+            now,
+        );
+    }
+
+    /// Each open row as `(global rank, bank, cycles open before now)`:
+    /// the residency its precharge has not yet added to the ledger.
+    pub(crate) fn open_rows(&self, now: u64) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        bits(self.masks.open()).filter_map(move |flat| {
+            let (r, b) = self.masks.split(flat);
+            let open = self.banks[flat as usize].open?;
+            Some((self.rank_base() + r, b, now - open.opened_at))
+        })
+    }
+
     /// Advances the channel one memory cycle. Each completed read is pushed
     /// onto `completed` as its id and issuing core. `faults` is the
     /// optional injector shared by all channels; `None` (the default)
@@ -318,39 +423,24 @@ impl Channel {
         completed: &mut Vec<(RequestId, usize)>,
         faults: &mut Option<FaultInjector>,
     ) -> Result<(), ProtocolError> {
-        let ch = self.index;
         // Refresh stress shortens the effective refresh interval.
         let trefi = faults
             .as_ref()
             .map_or(cfg.timing.trefi, |f| f.effective_trefi(cfg.timing.trefi));
         // 1. Housekeeping: refresh expiry, auto-precharges, data completions.
-        for rank in &mut self.ranks {
-            rank.finish_refresh_if_done(now);
-            rank.update_refresh_due(now, trefi);
+        for r in 0..self.ranks.len() {
+            if self.ranks[r].finish_refresh_if_done(now) {
+                self.update_power_state(r, now, energy);
+            }
+            self.ranks[r].update_refresh_due(now, trefi);
         }
         // Only banks whose column command armed an auto-precharge (which
         // only restricted close-page does) can fire one, so visiting them
         // in (rank, bank) order fires the same precharges in the same order
         // as visiting every open bank.
         for flat in bits(self.masks.armed()) {
-            let (r, b) = self.masks.split(flat);
-            if self.ranks[r].banks[b].tick_auto_precharge(now, &cfg.timing) {
-                self.masks.set_closed(r as u32, b as u32);
-                stats.precharges += 1;
-                o.obs.emit(|| TraceEvent::Precharge {
-                    cycle: now,
-                    channel: ch,
-                    rank: r as u8,
-                    bank: b as u8,
-                });
-                Self::verify_cmd(
-                    &mut self.checker,
-                    now,
-                    DramCommand::Precharge {
-                        rank: r as u32,
-                        bank: b as u32,
-                    },
-                )?;
+            if self.banks[flat as usize].auto_precharge_due(now) {
+                self.close_bank(flat as usize, now, cfg, stats, energy, o)?;
             }
         }
         self.complete_transfers(now, stats, o, completed);
@@ -360,6 +450,7 @@ impl Channel {
         if !self.drain_mode && self.write_q.len() >= cfg.queues.write_high_watermark {
             self.drain_mode = true;
             stats.drain_entries += 1;
+            let ch = self.index;
             o.obs.emit(|| TraceEvent::DrainEnter {
                 cycle: now,
                 channel: ch,
@@ -373,36 +464,130 @@ impl Channel {
         self.update_escalation(now, cfg);
 
         // 3. One command-bus slot per cycle, in priority order.
-        let issued = self.refresh_commands(now, cfg, stats, energy, o)?
-            || self.issue_column(now, cfg, stats, energy, o, faults)?
-            || self.issue_activate(now, cfg, stats, energy, o, faults)?
-            || self.issue_precharge_for_pending(now, cfg, stats, o)?
-            || self.issue_idle_close(now, cfg, stats, o)?;
-        let _ = issued;
+        if self.may_issue(cfg) && !self.refresh_commands(now, cfg, stats, energy, o)? {
+            let _issued = self.issue_column(now, cfg, stats, energy, o, faults)?
+                || self.issue_activate(now, cfg, stats, energy, o, faults)?
+                || self.issue_precharge_for_pending(now, cfg, stats, energy, o)?
+                || self.issue_idle_close(now, cfg, stats, energy, o)?;
+        }
 
         // 4. Power-down entry for idle ranks (relaxed policy only; CKE is
         //    not a command-bus command).
         if matches!(cfg.policy, PagePolicy::RelaxedClosePage) {
-            self.enter_power_down_where_idle(now, o);
+            self.enter_power_down_where_idle(now, energy, o);
         }
 
-        // 5. Background energy, attributed to the global (channel-major)
-        //    rank index so per-rank residency ledgers line up across
-        //    channels.
-        let rank_base = self.ranks.len() * self.index as usize;
-        let open = self.masks.open();
-        for (r, rank) in self.ranks.iter_mut().enumerate() {
-            let open_banks = self.masks.rank_field(open, r);
-            let state = rank.tick_power_state(open_banks != 0);
-            energy.background_cycle(rank_base + r, state);
-            if o.power_telemetry {
-                energy.bank_residency(rank_base + r, open_banks);
-            }
-        }
         if now < self.bus.busy_until {
             stats.bus_busy_cycles += 1;
         }
         Ok(())
+    }
+
+    /// Whether any command pass could issue this cycle: work is queued, a
+    /// rank owes a refresh, or (relaxed close-page) a bank is open for the
+    /// idle close. Otherwise every pass would find nothing, so an idle
+    /// channel skips them.
+    fn may_issue(&self, cfg: &DramConfig) -> bool {
+        !self.read_q.is_empty()
+            || !self.write_q.is_empty()
+            || (self.masks.open() != 0 && matches!(cfg.policy, PagePolicy::RelaxedClosePage))
+            || self.ranks.iter().any(|rank| rank.refresh_debt > 0)
+    }
+
+    /// This cycle's readiness masks, derived on first use. Only the passes
+    /// after the refresh pass, which can wake a rank, call it.
+    fn ready(&mut self, now: u64, cfg: &DramConfig) -> Readiness {
+        if self.ready.at != now {
+            self.ready = self.readiness(now, cfg);
+        }
+        self.ready
+    }
+
+    /// The rank-level readiness masks at `now` (see [`Readiness`]).
+    fn readiness(&self, now: u64, cfg: &DramConfig) -> Readiness {
+        let (mut available, mut activate) = (0, 0);
+        for (r, rank) in self.ranks.iter().enumerate() {
+            let banks = self.masks.rank_bits(r);
+            let up = now >= rank.available_at;
+            available |= banks_if(up, banks);
+            let act = up
+                & matches!(rank.refresh, RefreshState::Idle)
+                & (now >= rank.next_act_allowed_at)
+                & !self.refresh_forced(r, cfg);
+            activate |= banks_if(act, banks);
+        }
+        let t = &cfg.timing;
+        let bus = |dir, lat| {
+            available
+                & self
+                    .bus
+                    .ready_banks(dir, now + lat, t.twtr, t.trtrs, &self.masks)
+        };
+        Readiness {
+            at: now,
+            available,
+            column: [bus(Dir::Read, t.tcas), bus(Dir::Write, t.wl)],
+            activate,
+        }
+    }
+
+    /// The banks of `candidates` whose `fence` has passed at `now`.
+    fn past(&self, candidates: u64, now: u64, fence: impl Fn(&Bank) -> u64) -> u64 {
+        bits(candidates).fold(0, |mask, flat| {
+            mask | banks_if(now >= fence(&self.banks[flat as usize]), 1 << flat)
+        })
+    }
+
+    /// `banks` less those the recovery engine holds in a replay hold-off
+    /// window at `now`.
+    fn unblocked(&self, banks: u64, now: u64) -> u64 {
+        let Some(rec) = &self.recovery else {
+            return banks;
+        };
+        bits(banks)
+            .filter(|&flat| {
+                let (r, b) = self.masks.split(flat);
+                !rec.is_blocked(now, r as u32, b as u32)
+            })
+            .fold(0, |mask, flat| mask | 1 << flat)
+    }
+
+    /// Precharges bank `flat` at `now` (explicit command or
+    /// auto-precharge) and books it: bank masks, the rank's power state,
+    /// the row's open cycles (with telemetry on), the command count, the
+    /// trace and the protocol checker.
+    fn close_bank(
+        &mut self,
+        flat: usize,
+        now: u64,
+        cfg: &DramConfig,
+        stats: &mut DramStats,
+        energy: &mut EnergyAccounting,
+        o: &mut DramObs,
+    ) -> Result<(), ProtocolError> {
+        let (r, b) = self.masks.split(flat as u32);
+        let open_cycles = self.banks[flat].precharge(now, &cfg.timing);
+        self.masks.set_closed(r as u32, b as u32);
+        if o.power_telemetry {
+            energy.add_bank_open_cycles(self.rank_base() + r, b, open_cycles);
+        }
+        self.update_power_state(r, now, energy);
+        stats.precharges += 1;
+        let ch = self.index;
+        o.obs.emit(|| TraceEvent::Precharge {
+            cycle: now,
+            channel: ch,
+            rank: r as u8,
+            bank: b as u8,
+        });
+        Self::verify_cmd(
+            &mut self.checker,
+            now,
+            DramCommand::Precharge {
+                rank: r as u32,
+                bank: b as u32,
+            },
+        )
     }
 
     fn complete_transfers(
@@ -482,20 +667,21 @@ impl Channel {
             if !forced && !opportunistic {
                 continue;
             }
-            let rank = &mut self.ranks[r];
-            if rank.powered_down {
+            if self.ranks[r].exit_power_down(now, &cfg.timing) {
                 o.obs.emit(|| TraceEvent::PowerUp {
                     cycle: now,
                     channel: ch,
                     rank: r as u8,
                 });
+                self.update_power_state(r, now, energy);
             }
-            rank.exit_power_down(now, &cfg.timing);
-            if now < rank.available_at {
+            if now < self.ranks[r].available_at {
                 continue;
             }
-            if rank.ready_for_refresh(now) {
-                rank.start_refresh(now, &cfg.timing);
+            let banks = self.rank_banks(r);
+            if self.ranks[r].ready_for_refresh(&self.banks[banks.clone()], now) {
+                self.ranks[r].start_refresh(&mut self.banks[banks], now, &cfg.timing);
+                self.update_power_state(r, now, energy);
                 stats.refreshes += 1;
                 energy.refresh();
                 o.obs.emit(|| TraceEvent::Refresh {
@@ -512,27 +698,13 @@ impl Channel {
             }
             if forced {
                 // Close one open bank whose precharge is legal.
-                for (b, bank) in rank.banks.iter_mut().enumerate() {
-                    if bank.is_open() && now >= bank.ready_for_precharge_at {
-                        bank.precharge(now, &cfg.timing);
-                        self.masks.set_closed(r as u32, b as u32);
-                        stats.precharges += 1;
-                        o.obs.emit(|| TraceEvent::Precharge {
-                            cycle: now,
-                            channel: ch,
-                            rank: r as u8,
-                            bank: b as u8,
-                        });
-                        Self::verify_cmd(
-                            &mut self.checker,
-                            now,
-                            DramCommand::Precharge {
-                                rank: r as u32,
-                                bank: b as u32,
-                            },
-                        )?;
-                        return Ok(true);
-                    }
+                let closable = banks.clone().find(|&flat| {
+                    let bank = &self.banks[flat];
+                    bank.is_open() && now >= bank.ready_for_precharge_at
+                });
+                if let Some(flat) = closable {
+                    self.close_bank(flat, now, cfg, stats, energy, o)?;
+                    return Ok(true);
                 }
             }
         }
@@ -556,23 +728,23 @@ impl Channel {
         }
     }
 
+    /// The bank `loc` targets.
+    fn bank(&self, loc: &Location) -> &Bank {
+        &self.banks[self.masks.flat(loc.rank, loc.bank)]
+    }
+
     /// Address/bank trail of the oldest queued request, for liveness
     /// diagnostics.
     pub(crate) fn oldest_trail(&self, channel: u32) -> Option<RequestTrail> {
-        self.oldest_entry().map(|(is_write, e)| {
-            let open_row = self.ranks[e.loc.rank as usize].banks[e.loc.bank as usize]
-                .open
-                .map(|o| o.row);
-            RequestTrail {
-                channel,
-                rank: e.loc.rank,
-                bank: e.loc.bank,
-                row: e.loc.row,
-                addr: e.req.addr.raw(),
-                is_write,
-                enqueued_at: e.enqueued_at,
-                open_row,
-            }
+        self.oldest_entry().map(|(is_write, e)| RequestTrail {
+            channel,
+            rank: e.loc.rank,
+            bank: e.loc.bank,
+            row: e.loc.row,
+            addr: e.req.addr.raw(),
+            is_write,
+            enqueued_at: e.enqueued_at,
+            open_row: self.bank(&e.loc).open.map(|o| o.row),
         })
     }
 
@@ -616,12 +788,7 @@ impl Channel {
     /// the active queue counts: a conflict that cannot be scheduled this
     /// phase must not be able to stall the bank forever.
     fn conflict_waiting(&self, loc: &Location, open_row: u32, in_writes: bool) -> bool {
-        let queue = if in_writes {
-            &self.write_q
-        } else {
-            &self.read_q
-        };
-        queue
+        self.active_queue(in_writes)
             .iter()
             .any(|e| e.loc.rank == loc.rank && e.loc.bank == loc.bank && e.loc.row != open_row)
     }
@@ -660,23 +827,18 @@ impl Channel {
         faults: &mut Option<FaultInjector>,
         is_write: bool,
     ) -> Result<bool, ProtocolError> {
-        if now < self.next_col_allowed {
+        if now < self.next_col_allowed || self.masks.hits(is_write) == 0 {
             return Ok(false);
         }
-        let (dir, lat) = if is_write {
-            (Dir::Write, cfg.timing.wl)
-        } else {
-            (Dir::Read, cfg.timing.tcas)
-        };
         // Banks that could take a column command at all: open, with work in
         // this queue on the open row, on an available rank whose data burst
-        // would find the bus free, past tRCD.
-        let bus = &self.bus;
-        let ready = self.banks_where(self.masks.hits(is_write), |r, rank, bank| {
-            now >= rank.available_at
-                && now + lat >= bus.earliest_start(dir, r, cfg.timing.twtr, cfg.timing.trtrs)
-                && now >= bank.ready_for_column_at
-        });
+        // would find the bus free, past tRCD, and not held for a replay.
+        let candidates =
+            self.masks.hits(is_write) & self.ready(now, cfg).column[usize::from(is_write)];
+        let ready = self.unblocked(
+            self.past(candidates, now, |bank| bank.ready_for_column_at),
+            now,
+        );
         if ready == 0 {
             return Ok(false);
         }
@@ -684,22 +846,13 @@ impl Channel {
             .timing
             .burst_cycles
             .saturating_mul(cfg.scheme.burst_multiplier);
-        let queue = if is_write {
-            &self.write_q
-        } else {
-            &self.read_q
-        };
+        let queue = self.active_queue(is_write);
         let mut chosen: Option<usize> = None;
         for i in self.masks.entries_in(is_write, ready) {
             let entry = &queue[i];
-            if let Some(rec) = &self.recovery {
-                // The bank is parked inside a replay hold-off window.
-                if rec.is_blocked(now, entry.loc.rank, entry.loc.bank) {
-                    continue;
-                }
-            }
-            let bank = &self.ranks[entry.loc.rank as usize].banks[entry.loc.bank as usize];
-            let Some(open) = bank.open else { continue };
+            let Some(open) = self.bank(&entry.loc).open else {
+                continue;
+            };
             if open.row != entry.loc.row {
                 continue;
             }
@@ -732,11 +885,7 @@ impl Channel {
             break;
         }
         let Some(i) = chosen else { return Ok(false) };
-        let fault_loc = if is_write {
-            self.write_q[i].loc
-        } else {
-            self.read_q[i].loc
-        };
+        let fault_loc = self.active_queue(is_write)[i].loc;
         // Injected bus fault: the command is lost. The queue entry survives
         // and retries on a later cycle; the command-bus slot is consumed.
         if let Some(inj) = faults.as_mut() {
@@ -758,8 +907,7 @@ impl Channel {
             self.read_q.remove(i)
         };
         self.masks.remove(is_write, i);
-        let rank_idx = entry.loc.rank as usize;
-        let bank = &mut self.ranks[rank_idx].banks[entry.loc.bank as usize];
+        let bank = &mut self.banks[self.masks.flat(entry.loc.rank, entry.loc.bank)];
         if !entry.classified {
             entry.classified = true;
             if is_write {
@@ -820,8 +968,10 @@ impl Channel {
                 },
             )?;
         }
+        // The data bus moved: this cycle's readiness masks no longer hold.
+        self.ready.at = u64::MAX;
         if matches!(cfg.policy, PagePolicy::RestrictedClosePage) {
-            bank.arm_auto_precharge();
+            self.banks[self.masks.flat(loc.rank, loc.bank)].arm_auto_precharge();
             self.masks.set_armed(loc.rank, loc.bank);
         }
         if let Some(rec) = self.recovery.as_mut() {
@@ -831,15 +981,20 @@ impl Channel {
         Ok(true)
     }
 
-    /// The PRA mask for activating `loc.row`: the OR of all queued same-row
-    /// write masks, widened to full if any queued read also wants the row.
-    fn gather_write_mask(&self, loc: &Location) -> WordMask {
-        if self.masks.entries_on_row(false, loc).next().is_some() {
-            return WordMask::FULL;
-        }
-        self.masks
+    /// The PRA mask for activating `loc.row` for queued writes — the OR of
+    /// all queued same-row write masks, widened to full if any queued read
+    /// also wants the row — and the row's queued read and write counts
+    /// (see [`BankMasks::row_hits`]), from one pass over each queue.
+    fn gather_write_mask(&self, loc: &Location) -> (WordMask, [u32; 2]) {
+        let reads = self.masks.entries_on_row(false, loc).count() as u32;
+        let (mask, writes) = self
+            .masks
             .entries_on_row(true, loc)
-            .fold(WordMask::EMPTY, |m, i| m | self.write_q[i].req.mask)
+            .fold((WordMask::EMPTY, 0), |(m, n), i| {
+                (m | self.write_q[i].req.mask, n + 1)
+            });
+        let mask = if reads > 0 { WordMask::FULL } else { mask };
+        (mask, [reads, writes])
     }
 
     /// FR-FCFS step two: activate for the oldest request whose bank is closed.
@@ -855,19 +1010,16 @@ impl Channel {
         let is_write = self.active_is_write();
         // Banks that could take an activate at all: closed, with work in the
         // active queue, on a refresh-idle, unforced rank past its
-        // availability and tRRD fences, and past tRP.
-        let mut ranks_ready = 0;
-        for (r, rank) in self.ranks.iter().enumerate() {
-            if matches!(rank.refresh, RefreshState::Idle)
-                && now >= rank.available_at
-                && now >= rank.next_act_allowed_at
-                && !self.refresh_forced(r, cfg)
-            {
-                ranks_ready |= self.masks.rank_bits(r);
-            }
+        // availability and tRRD fences, past tRP, and not held for a replay.
+        let closed = self.masks.queued(is_write) & !self.masks.open();
+        if closed == 0 {
+            return Ok(false);
         }
-        let closed = self.masks.queued(is_write) & !self.masks.open() & ranks_ready;
-        let ready = self.banks_where(closed, |_, _, bank| now >= bank.ready_for_activate_at);
+        let candidates = closed & self.ready(now, cfg).activate;
+        let ready = self.unblocked(
+            self.past(candidates, now, |bank| bank.ready_for_activate_at),
+            now,
+        );
         if ready == 0 {
             return Ok(false);
         }
@@ -876,44 +1028,40 @@ impl Channel {
         } else {
             &self.read_q
         };
-        let mut chosen: Option<(usize, WordMask, u32)> = None;
+        let mut chosen: Option<(usize, WordMask, u32, Option<[u32; 2]>)> = None;
+        self.tried.clear();
         for i in self.masks.entries_in(is_write, ready) {
-            let entry = &queue[i];
-            if let Some(rec) = &self.recovery {
-                // The bank is parked inside a replay hold-off window.
-                if rec.is_blocked(now, entry.loc.rank, entry.loc.bank) {
-                    continue;
-                }
+            // Entries on one (bank, row) share the activation mask and so
+            // the verdict below: try each target once.
+            let key = self.masks.key_at(is_write, i);
+            if self.tried.contains(&key) {
+                continue;
             }
+            self.tried.push(key);
+            let entry = &queue[i];
             let rank = &self.ranks[entry.loc.rank as usize];
-            let (coverage, mats) = if is_write {
-                let mask = self.gather_write_mask(&entry.loc);
+            let (coverage, mats, hits) = if is_write {
+                let (mask, hits) = self.gather_write_mask(&entry.loc);
                 debug_assert!(!mask.is_empty());
+                let mats = cfg.scheme.write_act_mats(mask);
                 if mask.is_full() {
                     // Covers queued reads too; activate at read granularity.
-                    (
-                        WordMask::FULL,
-                        cfg.scheme
-                            .read_act_mats
-                            .max(cfg.scheme.write_act_mats(mask)),
-                    )
+                    let mats = cfg.scheme.read_act_mats.max(mats);
+                    (WordMask::FULL, mats, Some(hits))
                 } else {
-                    (
-                        cfg.scheme.write_coverage(mask),
-                        cfg.scheme.write_act_mats(mask),
-                    )
+                    (cfg.scheme.write_coverage(mask), mats, Some(hits))
                 }
             } else {
-                (WordMask::FULL, cfg.scheme.read_act_mats)
+                (WordMask::FULL, cfg.scheme.read_act_mats, None)
             };
             let weight = cfg.scheme.act_timing_weight(mats);
             if !rank.can_activate(now, weight, &cfg.timing) {
                 continue;
             }
-            chosen = Some((i, coverage, mats));
+            chosen = Some((i, coverage, mats, hits));
             break;
         }
-        let Some((i, mut coverage, mut mats)) = chosen else {
+        let Some((i, mut coverage, mut mats, hits)) = chosen else {
             return Ok(false);
         };
         let loc = self.active_queue(is_write)[i].loc;
@@ -1067,10 +1215,21 @@ impl Channel {
         let stretch = faults.as_mut().map_or(0, FaultInjector::stretch_command);
         let extra = extra_base + stretch;
         let weight = cfg.scheme.act_timing_weight(mats);
-        let rank = &mut self.ranks[loc.rank as usize];
-        rank.banks[loc.bank as usize].activate(now, loc.row, coverage, mats, extra, &cfg.timing);
-        self.masks.set_open(loc.rank, loc.bank, loc.row);
-        rank.record_activation(now, weight, cfg.scheme.relaxed_act_timing, &cfg.timing);
+        let r = loc.rank as usize;
+        self.banks[self.masks.flat(loc.rank, loc.bank)].activate(
+            now,
+            loc.row,
+            coverage,
+            mats,
+            extra,
+            &cfg.timing,
+        );
+        let hits = hits.unwrap_or_else(|| self.masks.row_hits(&loc));
+        self.masks.set_open(&loc, hits);
+        self.ranks[r].record_activation(now, weight, cfg.scheme.relaxed_act_timing, &cfg.timing);
+        // The tRRD fence moved: this cycle's readiness masks no longer hold.
+        self.ready.at = u64::MAX;
+        self.update_power_state(r, now, energy);
         stats.record_activation(mats, !is_write);
         energy.activation_mats(mats);
         o.obs.registry.observe(o.act_mats, mats as u64);
@@ -1108,28 +1267,28 @@ impl Channel {
         now: u64,
         cfg: &DramConfig,
         stats: &mut DramStats,
+        energy: &mut EnergyAccounting,
         o: &mut DramObs,
     ) -> Result<bool, ProtocolError> {
         let is_write = self.active_is_write();
         // Banks that could take a precharge at all: open, with work in the
         // active queue, on an available rank, past tRAS/tWR/tRTP.
-        let ready = self.banks_where(
-            self.masks.open() & self.masks.queued(is_write),
-            |_, rank, bank| now >= rank.available_at && now >= bank.ready_for_precharge_at,
-        );
+        let open = self.masks.open() & self.masks.queued(is_write);
+        if open == 0 {
+            return Ok(false);
+        }
+        let candidates = open & self.ready(now, cfg).available;
+        let ready = self.past(candidates, now, |bank| bank.ready_for_precharge_at);
         if ready == 0 {
             return Ok(false);
         }
-        let queue = if is_write {
-            &self.write_q
-        } else {
-            &self.read_q
-        };
+        let queue = self.active_queue(is_write);
         let mut chosen: Option<(usize, bool, bool)> = None; // (idx, false_hit, capped)
         for i in self.masks.entries_in(is_write, ready) {
             let entry = &queue[i];
-            let bank = &self.ranks[entry.loc.rank as usize].banks[entry.loc.bank as usize];
-            let Some(open) = bank.open else { continue };
+            let Some(open) = self.bank(&entry.loc).open else {
+                continue;
+            };
             if open.row != entry.loc.row {
                 chosen = Some((i, false, open.hits_served >= cfg.row_hit_cap));
                 break;
@@ -1167,28 +1326,11 @@ impl Channel {
                 counters.false_hits += 1;
             }
         }
-        let loc = entry.loc;
-        self.ranks[loc.rank as usize].banks[loc.bank as usize].precharge(now, &cfg.timing);
-        self.masks.set_closed(loc.rank, loc.bank);
-        stats.precharges += 1;
         if capped {
             stats.hit_cap_precharges += 1;
         }
-        let ch = self.index;
-        o.obs.emit(|| TraceEvent::Precharge {
-            cycle: now,
-            channel: ch,
-            rank: loc.rank as u8,
-            bank: loc.bank as u8,
-        });
-        Self::verify_cmd(
-            &mut self.checker,
-            now,
-            DramCommand::Precharge {
-                rank: loc.rank,
-                bank: loc.bank,
-            },
-        )?;
+        let flat = self.masks.flat(entry.loc.rank, entry.loc.bank);
+        self.close_bank(flat, now, cfg, stats, energy, o)?;
         Ok(true)
     }
 
@@ -1198,47 +1340,38 @@ impl Channel {
         now: u64,
         cfg: &DramConfig,
         stats: &mut DramStats,
+        energy: &mut EnergyAccounting,
         o: &mut DramObs,
     ) -> Result<bool, ProtocolError> {
         if !matches!(cfg.policy, PagePolicy::RelaxedClosePage) {
             return Ok(false);
         }
-        let ch = self.index;
-        // Open banks in (rank, bank) order whose open row no queued entry
-        // wants.
-        for flat in bits(self.masks.open() & !self.masks.any_hits()) {
-            let (r, b) = self.masks.split(flat);
-            let rank = &mut self.ranks[r];
-            if now < rank.available_at || now < rank.banks[b].ready_for_precharge_at {
-                continue;
-            }
-            rank.banks[b].precharge(now, &cfg.timing);
-            self.masks.set_closed(r as u32, b as u32);
-            stats.precharges += 1;
-            o.obs.emit(|| TraceEvent::Precharge {
-                cycle: now,
-                channel: ch,
-                rank: r as u8,
-                bank: b as u8,
-            });
-            Self::verify_cmd(
-                &mut self.checker,
-                now,
-                DramCommand::Precharge {
-                    rank: r as u32,
-                    bank: b as u32,
-                },
-            )?;
-            return Ok(true);
+        // The first open bank in (rank, bank) order whose open row no queued
+        // entry wants and whose precharge is legal.
+        let unwanted = self.masks.open() & !self.masks.any_hits();
+        if unwanted == 0 {
+            return Ok(false);
         }
-        Ok(false)
+        let candidates = unwanted & self.ready(now, cfg).available;
+        let ready = self.past(candidates, now, |bank| bank.ready_for_precharge_at);
+        let Some(flat) = bits(ready).next() else {
+            return Ok(false);
+        };
+        self.close_bank(flat as usize, now, cfg, stats, energy, o)?;
+        Ok(true)
     }
 
-    fn enter_power_down_where_idle(&mut self, now: u64, o: &mut DramObs) {
+    fn enter_power_down_where_idle(
+        &mut self,
+        now: u64,
+        energy: &mut EnergyAccounting,
+        o: &mut DramObs,
+    ) {
         let ch = self.index;
         // A rank with an open bank or queued work stays up.
         let busy = self.masks.open() | self.masks.any_queued();
-        for (r, rank) in self.ranks.iter_mut().enumerate() {
+        for r in 0..self.ranks.len() {
+            let rank = &self.ranks[r];
             if rank.powered_down
                 || busy & self.masks.rank_bits(r) != 0
                 || !matches!(rank.refresh, RefreshState::Idle)
@@ -1246,7 +1379,8 @@ impl Channel {
             {
                 continue;
             }
-            rank.enter_power_down();
+            self.ranks[r].enter_power_down();
+            self.update_power_state(r, now, energy);
             o.obs.emit(|| TraceEvent::PowerDown {
                 cycle: now,
                 channel: ch,
@@ -1255,24 +1389,27 @@ impl Channel {
         }
     }
 
-    /// The banks of `candidates` whose rank index, rank and bank state
-    /// satisfy `keep`.
-    fn banks_where(&self, candidates: u64, keep: impl Fn(u32, &Rank, &Bank) -> bool) -> u64 {
-        bits(candidates)
-            .filter(|&flat| {
-                let (r, b) = self.masks.split(flat);
-                let rank = &self.ranks[r];
-                keep(r as u32, rank, &rank.banks[b])
-            })
-            .fold(0, |mask, flat| mask | 1 << flat)
-    }
-
-    /// Whether the bitmasks and the earliest transfer end equal a fresh
-    /// rebuild from the queues, banks and in-flight lists they cache.
+    /// Whether every cache this channel keeps equals a fresh rebuild from
+    /// the state it caches, right after the tick of cycle `now`: the
+    /// bitmasks, the earliest transfer end, the readiness masks (unless a
+    /// command of that tick moved their inputs, or the tick derived none)
+    /// and each rank's state in `energy`'s pending background run.
     #[cfg(test)]
-    pub(crate) fn caches_consistent(&self) -> bool {
-        self.masks == BankMasks::rebuild(&self.ranks, &self.read_q, &self.write_q)
+    pub(crate) fn caches_consistent(
+        &self,
+        now: u64,
+        cfg: &DramConfig,
+        energy: &EnergyAccounting,
+    ) -> bool {
+        let open = self.masks.open();
+        let power_states = (0..self.ranks.len()).all(|r| {
+            let state = self.ranks[r].power_state(self.masks.rank_field(open, r) != 0);
+            energy.rank_state(self.rank_base() + r) == state
+        });
+        self.masks == BankMasks::rebuild(self.ranks.len(), &self.banks, &self.read_q, &self.write_q)
             && self.next_transfer_done == self.earliest_transfer_done()
+            && (self.ready.at != now || self.ready == self.readiness(now, cfg))
+            && power_states
     }
 }
 
@@ -1330,6 +1467,10 @@ impl sim_snap::SnapState for Channel {
         for rank in &self.ranks {
             rank.snap_save(w);
         }
+        w.seq(self.banks.len());
+        for bank in &self.banks {
+            bank.snap_save(w);
+        }
         w.seq(self.read_q.len());
         for e in &self.read_q {
             save_queue_entry(w, e);
@@ -1361,9 +1502,9 @@ impl sim_snap::SnapState for Channel {
             w.u32(rank);
         }
         w.u64(self.next_col_allowed);
-        // `escalated` is recomputed at the start of every tick before any
-        // scheduling decision reads it, and `masks` is rebuilt on load from
-        // the ranks and queues, so neither is serialized.
+        // `escalated` and `ready` are recomputed in every tick before any
+        // scheduling decision reads them, and `masks` is rebuilt on load
+        // from the banks and queues, so none of them is serialized.
         w.bool(self.checker.is_some());
         if let Some(checker) = &self.checker {
             checker.snap_save(w);
@@ -1385,6 +1526,16 @@ impl sim_snap::SnapState for Channel {
         }
         for rank in &mut self.ranks {
             rank.snap_load(r)?;
+        }
+        let banks = r.seq()?;
+        if banks != self.banks.len() {
+            return Err(sim_snap::SnapError::Decode(format!(
+                "channel bank count mismatch: snapshot has {banks}, config has {}",
+                self.banks.len()
+            )));
+        }
+        for bank in &mut self.banks {
+            bank.snap_load(r)?;
         }
         let reads = r.seq()?;
         self.read_q.clear();
@@ -1430,7 +1581,8 @@ impl sim_snap::SnapState for Channel {
         self.bus.last_rank = if r.bool()? { Some(r.u32()?) } else { None };
         self.next_col_allowed = r.u64()?;
         self.escalated = None;
-        self.masks = BankMasks::rebuild(&self.ranks, &self.read_q, &self.write_q);
+        self.ready = Readiness::STALE;
+        self.masks = BankMasks::rebuild(self.ranks.len(), &self.banks, &self.read_q, &self.write_q);
         let has_checker = r.bool()?;
         if has_checker != self.checker.is_some() {
             return Err(sim_snap::SnapError::Decode(format!(
@@ -1452,5 +1604,39 @@ impl sim_snap::SnapState for Channel {
             rec.snap_load(r)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bus_ready_banks_match_earliest_start_per_rank() {
+        let masks = BankMasks::new(4, 8);
+        let (turnaround, rank_switch) = (6, 2);
+        for last_dir in [None, Some(Dir::Read), Some(Dir::Write)] {
+            for last_rank in [None, Some(0), Some(3)] {
+                let bus = DataBus {
+                    busy_until: 100,
+                    last_dir,
+                    last_rank,
+                };
+                for dir in [Dir::Read, Dir::Write] {
+                    for by in 95..115 {
+                        let expected = (0..4u32)
+                            .filter(|&r| by >= bus.earliest_start(dir, r, turnaround, rank_switch))
+                            .fold(0, |m, r| m | masks.rank_bits(r as usize));
+                        let ready = bus.ready_banks(dir, by, turnaround, rank_switch, &masks);
+                        // Four ranks of eight banks use the low 32 bits.
+                        assert_eq!(
+                            ready & (u64::MAX >> 32),
+                            expected,
+                            "{last_dir:?} {last_rank:?} {dir:?} by {by}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

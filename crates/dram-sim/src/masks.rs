@@ -13,8 +13,8 @@
 
 use mem_model::Location;
 
+use crate::bank::Bank;
 use crate::channel::QueueEntry;
-use crate::rank::Rank;
 
 /// Most banks one channel's masks can hold: one bit per bank in a `u64`.
 pub(crate) const MAX_CHANNEL_BANKS: usize = 64;
@@ -64,18 +64,22 @@ impl BankMasks {
         }
     }
 
-    /// Recomputes the masks from the queues and banks they cache.
-    pub fn rebuild(ranks: &[Rank], read_q: &[QueueEntry], write_q: &[QueueEntry]) -> Self {
-        let banks_per_rank = ranks.first().map_or(1, |r| r.banks.len());
-        let mut masks = BankMasks::new(ranks.len(), banks_per_rank);
-        for (r, rank) in ranks.iter().enumerate() {
-            for (b, bank) in rank.banks.iter().enumerate() {
-                if let Some(open) = bank.open {
-                    masks.set_open(r as u32, b as u32, open.row);
-                }
-                if bank.auto_precharge_at.is_some() {
-                    masks.set_armed(r as u32, b as u32);
-                }
+    /// Recomputes the masks from the queues and the channel's flat bank
+    /// array (`ranks` ranks) they cache.
+    pub fn rebuild(
+        ranks: usize,
+        banks: &[Bank],
+        read_q: &[QueueEntry],
+        write_q: &[QueueEntry],
+    ) -> Self {
+        let mut masks = BankMasks::new(ranks, banks.len() / ranks.max(1));
+        for (i, bank) in banks.iter().enumerate() {
+            if let Some(open) = bank.open {
+                masks.open |= 1 << i;
+                masks.open_row[i] = open.row;
+            }
+            if bank.auto_precharge_at.is_some() {
+                masks.armed |= 1 << i;
             }
         }
         for (is_write, queue) in [(false, read_q), (true, write_q)] {
@@ -86,7 +90,9 @@ impl BankMasks {
         masks
     }
 
-    fn flat(&self, rank: u32, bank: u32) -> usize {
+    /// The flat index of `bank` of `rank`: its bit in every mask and its
+    /// position in the channel's bank array.
+    pub fn flat(&self, rank: u32, bank: u32) -> usize {
         ((rank << self.bank_shift) | bank) as usize
     }
 
@@ -149,36 +155,51 @@ impl BankMasks {
         }
     }
 
-    /// Records an activate of `row`: the queued entries on that row become
-    /// row hits.
-    pub fn set_open(&mut self, rank: u32, bank: u32, row: u32) {
-        let i = self.flat(rank, bank);
+    /// Records an activate of `loc`'s row, on which `hits` (see
+    /// [`Self::row_hits`]) queued reads and writes become row hits.
+    pub fn set_open(&mut self, loc: &Location, hits: [u32; 2]) {
+        let i = self.flat(loc.rank, loc.bank);
         self.open |= 1 << i;
         self.armed &= !(1 << i);
-        self.open_row[i] = row;
-        let key = Self::key(i, row);
-        for q in 0..2 {
-            let hits = self.keys[q].iter().filter(|&&k| k == key).count() as u32;
-            self.hits[i][q] = hits;
-            if hits > 0 {
-                self.has_hits[q] |= 1 << i;
+        self.open_row[i] = loc.row;
+        self.hits[i] = hits;
+        for (q, has_hits) in self.has_hits.iter_mut().enumerate() {
+            if hits[q] > 0 {
+                *has_hits |= 1 << i;
             }
         }
     }
 
+    /// Queued reads and writes that target `loc`'s row.
+    pub fn row_hits(&self, loc: &Location) -> [u32; 2] {
+        [false, true].map(|is_write| self.entries_on_row(is_write, loc).count() as u32)
+    }
+
     /// Queue positions of the read (`false`) or write (`true`) entries
-    /// that target `loc`'s row, oldest first.
+    /// that target `loc`'s row, oldest first. A queue with nothing queued
+    /// on the bank is not scanned.
     pub fn entries_on_row(
         &self,
         is_write: bool,
         loc: &Location,
     ) -> impl Iterator<Item = usize> + '_ {
-        let key = Self::key(self.flat(loc.rank, loc.bank), loc.row);
-        self.keys[usize::from(is_write)]
-            .iter()
+        let (i, q) = (self.flat(loc.rank, loc.bank), usize::from(is_write));
+        let key = Self::key(i, loc.row);
+        let keys = if self.queued[i][q] == 0 {
+            &[][..]
+        } else {
+            &self.keys[q][..]
+        };
+        keys.iter()
             .enumerate()
             .filter(move |&(_, &k)| k == key)
             .map(|(index, _)| index)
+    }
+
+    /// The `bank index << 32 | row` target of entry `index` of the read
+    /// (`false`) or write (`true`) queue.
+    pub fn key_at(&self, is_write: bool, index: usize) -> u64 {
+        self.keys[usize::from(is_write)][index]
     }
 
     /// Queue positions of the read (`false`) or write (`true`) entries
@@ -267,6 +288,12 @@ mod tests {
         }
     }
 
+    /// Opens `row` of `bank` of `rank` as an activate does.
+    fn open(m: &mut BankMasks, rank: u32, bank: u32, row: u32) {
+        let l = loc(rank, bank, row);
+        m.set_open(&l, m.row_hits(&l));
+    }
+
     #[test]
     fn counts_clear_the_bit_only_when_the_last_entry_leaves() {
         let mut m = BankMasks::new(2, 8);
@@ -285,7 +312,7 @@ mod tests {
         let mut m = BankMasks::new(2, 8);
         m.push(false, &loc(0, 2, 5));
         assert_eq!(m.hits(false), 0, "closed bank: no row hits");
-        m.set_open(0, 2, 5);
+        open(&mut m, 0, 2, 5);
         assert_eq!(m.hits(false), 1 << 2, "the queued entry becomes a hit");
         m.push(false, &loc(0, 2, 6));
         m.push(false, &loc(1, 0, 5));
@@ -300,9 +327,9 @@ mod tests {
     #[test]
     fn rank_slices_and_bit_order() {
         let mut m = BankMasks::new(4, 16);
-        m.set_open(0, 0, 1);
-        m.set_open(3, 15, 1);
-        m.set_open(2, 5, 1);
+        open(&mut m, 0, 0, 1);
+        open(&mut m, 3, 15, 1);
+        open(&mut m, 2, 5, 1);
         assert_eq!(m.rank_field(m.open(), 3), 1 << 15);
         assert_eq!(m.rank_field(m.open(), 2), 1 << 5);
         assert_eq!(m.rank_field(m.open(), 1), 0);

@@ -197,15 +197,24 @@ impl MemorySystem {
     /// Enables or disables live power telemetry (on by default). When off,
     /// per-bank residency tracking and `energy.*`/`power.*` epoch
     /// publication are skipped entirely, leaving the registry and trace
-    /// stream exactly as they were before this layer existed.
+    /// stream exactly as they were before this layer existed. Set it before
+    /// the first tick: a row's open cycles are counted when it closes, if
+    /// telemetry is on then.
     pub fn set_power_telemetry(&mut self, enabled: bool) {
         self.obs.power_telemetry = enabled;
     }
 
     /// The per-rank power-state residency ledger (global channel-major rank
-    /// indices).
-    pub fn residency(&self) -> &ResidencyLedger {
-        self.energy.residency()
+    /// indices), with every cycle so far accounted.
+    pub fn residency(&self) -> ResidencyLedger {
+        let mut ledger = self.energy.residency_at(self.cycle);
+        if self.obs.power_telemetry {
+            for (rank, bank, cycles) in self.channels.iter().flat_map(|ch| ch.open_rows(self.cycle))
+            {
+                ledger.add_bank_open_cycles(rank, bank, cycles);
+            }
+        }
+        ledger
     }
 
     /// Closes the current power window and publishes energy counters, power
@@ -222,19 +231,18 @@ impl MemorySystem {
         }
         let cycle = self.cycle;
         let epoch = self.obs.obs.epoch_index();
+        let rank_windows = self.energy.residency_window(cycle);
         let total = self.energy.breakdown();
         let (delta, power) = self.power_rail.close_window(total, elapsed);
         let act_by_mats = *self.energy.act_energy_by_mats();
         let p = self.energy.params();
         let state_mw = [p.act_stby_mw, p.pre_stby_mw, p.pre_pdn_mw];
         let residency: Vec<([u64; 3], u64)> = self
-            .energy
             .residency()
             .ranks()
             .iter()
             .map(|r| (r.state_cycles, r.open_bank_cycles()))
             .collect();
-        let rank_windows = self.energy.residency_window();
 
         let reg = &mut self.obs.obs.registry;
         // Cumulative energy, rounded to whole pJ. Rounding a nondecreasing
@@ -358,7 +366,14 @@ impl MemorySystem {
                 channel: loc.channel,
             });
         }
-        channel.enqueue(req, loc, self.cycle, &self.config, &mut self.obs);
+        channel.enqueue(
+            req,
+            loc,
+            self.cycle,
+            &self.config,
+            &mut self.energy,
+            &mut self.obs,
+        );
         Ok(())
     }
 
@@ -520,9 +535,10 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// Accumulated energy breakdown (pJ).
+    /// Accumulated energy breakdown (pJ), background energy charged for
+    /// every cycle so far.
     pub fn energy(&self) -> EnergyBreakdown {
-        self.energy.breakdown()
+        self.energy.breakdown_at(self.cycle)
     }
 
     /// Elapsed simulated time in nanoseconds.
@@ -536,7 +552,7 @@ impl MemorySystem {
     ///
     /// Panics if no cycles have been simulated yet.
     pub fn power(&self) -> PowerBreakdown {
-        self.energy.breakdown().to_power(self.elapsed_ns())
+        self.energy().to_power(self.elapsed_ns())
     }
 }
 
@@ -1325,7 +1341,10 @@ mod tests {
     }
 
     fn caches_consistent(mem: &MemorySystem) -> bool {
-        mem.channels.iter().all(Channel::caches_consistent)
+        let last_tick = mem.cycle.wrapping_sub(1);
+        mem.channels
+            .iter()
+            .all(|ch| ch.caches_consistent(last_tick, &mem.config, &mem.energy))
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Per-rank state: banks, weighted tRRD/tFAW tracking, refresh and
-//! power-down.
+//! Per-rank state: weighted tRRD/tFAW tracking, refresh and power-down.
+//! The rank's banks live in the channel's flat bank array, indexed like
+//! its bank bitmasks; the methods that need them take the rank's slice.
 
 use std::collections::VecDeque;
 
@@ -26,11 +27,9 @@ pub enum RefreshState {
     },
 }
 
-/// One rank: a set of banks plus rank-wide timing and power state.
+/// Rank-wide timing and power state of one rank.
 #[derive(Debug, Clone)]
 pub struct Rank {
-    /// The rank's banks.
-    pub banks: Vec<Bank>,
     /// Sliding window of (cycle, weight) activations for tFAW. Weights are
     /// fractions of a full-row activation; the window constrains the sum to
     /// four, which degenerates to "four activations" for weight-1 schemes.
@@ -47,16 +46,13 @@ pub struct Rank {
     pub powered_down: bool,
     /// Earliest cycle any command may issue (power-down exit, refresh).
     pub available_at: u64,
-    /// Cycles spent in each power state, for cross-checking energy.
-    pub state_cycles: [u64; 3],
 }
 
 impl Rank {
-    /// Creates a rank with `banks` banks; the first refresh falls due at
-    /// `first_refresh_at` (staggered across ranks by the caller).
-    pub fn new(banks: usize, first_refresh_at: u64) -> Self {
+    /// Creates a rank whose first refresh falls due at `first_refresh_at`
+    /// (staggered across ranks by the caller).
+    pub fn new(first_refresh_at: u64) -> Self {
         Rank {
-            banks: (0..banks).map(|_| Bank::new()).collect(),
             faw_window: VecDeque::new(),
             next_act_allowed_at: 0,
             next_refresh_at: first_refresh_at,
@@ -64,7 +60,6 @@ impl Rank {
             refresh: RefreshState::Idle,
             powered_down: false,
             available_at: 0,
-            state_cycles: [0; 3],
         }
     }
 
@@ -116,32 +111,22 @@ impl Rank {
         }
     }
 
-    /// Accounts one cycle in the current power state (see
-    /// [`Rank::power_state`]).
-    pub fn tick_power_state(&mut self, any_bank_open: bool) -> RankPowerState {
-        let s = self.power_state(any_bank_open);
-        let idx = match s {
-            RankPowerState::ActiveStandby => 0,
-            RankPowerState::PrechargeStandby => 1,
-            RankPowerState::PowerDown => 2,
-        };
-        self.state_cycles[idx] += 1;
-        s
-    }
-
-    /// Enters precharge power-down. The caller guarantees the rank is idle.
+    /// Enters precharge power-down. The caller guarantees the rank is idle
+    /// (no open bank, no queued work).
     pub fn enter_power_down(&mut self) {
-        debug_assert!(!self.banks.iter().any(Bank::is_open));
         debug_assert!(matches!(self.refresh, RefreshState::Idle));
         self.powered_down = true;
     }
 
     /// Leaves power-down at `now`; commands become legal after tXP.
-    pub fn exit_power_down(&mut self, now: u64, t: &TimingParams) {
-        if self.powered_down {
+    /// Returns whether the rank was powered down.
+    pub fn exit_power_down(&mut self, now: u64, t: &TimingParams) -> bool {
+        let woke = self.powered_down;
+        if woke {
             self.powered_down = false;
             self.available_at = self.available_at.max(now + t.txp);
         }
+        woke
     }
 
     /// Accrues refresh debt for every elapsed tREFI interval.
@@ -152,35 +137,40 @@ impl Rank {
         }
     }
 
-    /// `true` when every bank is closed and ready for the REF command.
-    pub fn ready_for_refresh(&self, now: u64) -> bool {
-        self.banks
+    /// `true` when every one of the rank's `banks` is closed and ready for
+    /// the REF command.
+    pub fn ready_for_refresh(&self, banks: &[Bank], now: u64) -> bool {
+        banks
             .iter()
             .all(|b| !b.is_open() && now >= b.ready_for_activate_at)
             && now >= self.available_at
     }
 
-    /// Issues the REF command at `now`, repaying one unit of debt.
-    pub fn start_refresh(&mut self, now: u64, t: &TimingParams) {
+    /// Issues the REF command at `now` to the rank and its `banks`,
+    /// repaying one unit of debt.
+    pub fn start_refresh(&mut self, banks: &mut [Bank], now: u64, t: &TimingParams) {
         debug_assert!(matches!(self.refresh, RefreshState::Idle));
         debug_assert!(self.refresh_debt > 0, "REF without debt");
-        debug_assert!(self.ready_for_refresh(now));
+        debug_assert!(self.ready_for_refresh(banks, now));
         self.refresh = RefreshState::InProgress {
             until: now + t.trfc,
         };
-        for bank in &mut self.banks {
+        for bank in banks {
             bank.ready_for_activate_at = bank.ready_for_activate_at.max(now + t.trfc);
         }
         self.available_at = self.available_at.max(now + t.trfc);
         self.refresh_debt -= 1;
     }
 
-    /// Completes an in-progress refresh whose tRFC elapsed.
-    pub fn finish_refresh_if_done(&mut self, now: u64) {
-        if let RefreshState::InProgress { until } = self.refresh {
-            if now >= until {
+    /// Completes an in-progress refresh whose tRFC elapsed; returns
+    /// whether it did.
+    pub fn finish_refresh_if_done(&mut self, now: u64) -> bool {
+        match self.refresh {
+            RefreshState::InProgress { until } if now >= until => {
                 self.refresh = RefreshState::Idle;
+                true
             }
+            _ => false,
         }
     }
 }
@@ -188,10 +178,6 @@ impl Rank {
 impl sim_snap::SnapState for Rank {
     fn snap_save(&self, w: &mut sim_snap::SnapWriter) {
         w.section("rank");
-        w.seq(self.banks.len());
-        for b in &self.banks {
-            b.snap_save(w);
-        }
         w.seq(self.faw_window.len());
         for &(cycle, weight) in &self.faw_window {
             w.u64(cycle);
@@ -209,23 +195,10 @@ impl sim_snap::SnapState for Rank {
         }
         w.bool(self.powered_down);
         w.u64(self.available_at);
-        for c in self.state_cycles {
-            w.u64(c);
-        }
     }
 
     fn snap_load(&mut self, r: &mut sim_snap::SnapReader<'_>) -> Result<(), sim_snap::SnapError> {
         r.section("rank")?;
-        let banks = r.seq()?;
-        if banks != self.banks.len() {
-            return Err(sim_snap::SnapError::Decode(format!(
-                "rank bank count mismatch: snapshot has {banks}, config has {}",
-                self.banks.len()
-            )));
-        }
-        for b in &mut self.banks {
-            b.snap_load(r)?;
-        }
         let faw = r.seq()?;
         self.faw_window.clear();
         for _ in 0..faw {
@@ -243,9 +216,6 @@ impl sim_snap::SnapState for Rank {
         };
         self.powered_down = r.bool()?;
         self.available_at = r.u64()?;
-        for c in &mut self.state_cycles {
-            *c = r.u64()?;
-        }
         Ok(())
     }
 }
@@ -259,7 +229,7 @@ mod tests {
     }
 
     fn rank() -> Rank {
-        Rank::new(8, 1000)
+        Rank::new(1000)
     }
 
     #[test]
@@ -317,7 +287,7 @@ mod tests {
         assert_eq!(r.available_at, 103, "tXP exit latency");
         assert_eq!(r.power_state(false), RankPowerState::PrechargeStandby);
         r.update_refresh_due(1000, t().trefi);
-        r.start_refresh(1000, &t());
+        r.start_refresh(&mut [Bank::new()], 1000, &t());
         assert_eq!(r.power_state(false), RankPowerState::ActiveStandby);
     }
 
@@ -330,12 +300,17 @@ mod tests {
         r.update_refresh_due(1000, tp.trefi);
         assert_eq!(r.refresh_debt, 1);
         assert_eq!(r.next_refresh_at, 1000 + tp.trefi);
-        assert!(r.ready_for_refresh(1000));
-        r.start_refresh(1000, &tp);
+        let mut banks = vec![Bank::new(); 8];
+        assert!(r.ready_for_refresh(&banks, 1000));
+        r.start_refresh(&mut banks, 1000, &tp);
         assert_eq!(r.refresh_debt, 0);
         assert!(matches!(r.refresh, RefreshState::InProgress { until } if until == 1000 + tp.trfc));
+        assert!(banks
+            .iter()
+            .all(|b| b.ready_for_activate_at == 1000 + tp.trfc));
         assert!(!r.can_activate(1001, 1.0, &tp), "rank busy during tRFC");
-        r.finish_refresh_if_done(1000 + tp.trfc);
+        assert!(!r.finish_refresh_if_done(1000 + tp.trfc - 1));
+        assert!(r.finish_refresh_if_done(1000 + tp.trfc));
         assert_eq!(r.refresh, RefreshState::Idle);
     }
 
@@ -347,20 +322,7 @@ mod tests {
         r.update_refresh_due(1000 + 2 * tp.trefi, tp.trefi);
         assert_eq!(r.refresh_debt, 3);
         // Repaying happens one REF at a time.
-        r.start_refresh(1000 + 2 * tp.trefi, &tp);
+        r.start_refresh(&mut [Bank::new()], 1000 + 2 * tp.trefi, &tp);
         assert_eq!(r.refresh_debt, 2);
-    }
-
-    #[test]
-    fn state_cycle_accounting() {
-        let mut r = rank();
-        r.tick_power_state(false);
-        r.tick_power_state(false);
-        r.tick_power_state(true);
-        assert_eq!(
-            r.state_cycles,
-            [1, 2, 0],
-            "one active, two precharge-standby"
-        );
     }
 }

@@ -62,7 +62,7 @@ use codec::fnv1a_64;
 /// are then refused with [`SnapError::Schema`] instead of being
 /// misinterpreted. There is deliberately no cross-version migration — a
 /// snapshot is a resume artifact, not an archival format.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Leading magic of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"PRASNAP\0";

@@ -60,7 +60,7 @@ const TINY_CACHE_STORES: Observed = Observed {
 const MIX2_PRA_STALL_EPISODES: u64 = 0xf84cb4e5b557ce78;
 /// FNV-1a of the three checkpoints the MIX2 PRA run takes (one every
 /// `CHECKPOINT_MEM_CYCLES`) before it is aborted.
-const MIX2_PRA_CHECKPOINTS: [u64; 2] = [0x6fc27bc8540a4677, 0x93f3703ab99575c6];
+const MIX2_PRA_CHECKPOINTS: [u64; 2] = [0x1e39b5fd8a7663a7, 0xdb788654f8b023d6];
 const CHECKPOINT_MEM_CYCLES: u64 = 1_500;
 
 fn mix2() -> [BenchProfile; 4] {

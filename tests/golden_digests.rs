@@ -110,7 +110,7 @@ fn state_digests_match_the_pinned_table() {
 /// the snapshot). Pinned so that the snapshot format, and with it the
 /// restorability of checkpoints written by earlier builds, cannot drift
 /// unnoticed.
-const GOLDEN_CHECKPOINT_BYTES: [u64; 2] = [0xad09295254eb536b, 0x39789b509649eda4];
+const GOLDEN_CHECKPOINT_BYTES: [u64; 2] = [0x990ce6fc2065028c, 0x976e5ab708fbbe1b];
 
 #[test]
 fn checkpoint_bytes_match_the_pinned_hash() {
