@@ -80,7 +80,8 @@ def load(path):
             if not line:
                 continue
             r = json.loads(line)
-            runs[(r["config"], r["seed"])] = r
+            # The config digest covers the seed: it alone keys a run.
+            runs[r["config"]] = r
     return runs
 
 ref, victim = load(sys.argv[1]), load(sys.argv[2])

@@ -9,6 +9,7 @@ use std::fmt::Write as _;
 use std::str::FromStr;
 
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dram_sim::PagePolicy;
 use pra_core::{Report, Scheme, SimBuilder, SimError};
@@ -153,7 +154,7 @@ impl Options {
     }
 }
 
-fn build(opts: &Options, scheme: Scheme) -> Result<(String, SimBuilder), CliError> {
+fn build(opts: &Options, scheme: Scheme) -> Result<SimBuilder, CliError> {
     let cores = opts.get_u64("cores", 4)? as usize;
     if cores == 0 || cores > 4 {
         return Err(err(
@@ -161,17 +162,13 @@ fn build(opts: &Options, scheme: Scheme) -> Result<(String, SimBuilder), CliErro
         ));
     }
     let workload: Workload = opts.get_parsed("workload", "GUPS")?;
-    let name = workload.name().to_string();
     let policy: PagePolicy = opts.get_parsed("policy", "relaxed")?;
     let mut builder = SimBuilder::new()
-        .name(name.clone())
+        .workload(&workload, cores)
         .scheme(scheme)
         .policy(policy)
         .instructions(opts.get_u64("instructions", 100_000)?)
         .seed(opts.get_u64("seed", 1)?);
-    for app in workload.apps(cores) {
-        builder = builder.app(app);
-    }
     if let Some(w) = opts.get("warmup") {
         let w = w
             .parse()
@@ -207,7 +204,7 @@ fn build(opts: &Options, scheme: Scheme) -> Result<(String, SimBuilder), CliErro
     if let Some(snap) = opts.get("restore") {
         builder = builder.restore(snap);
     }
-    Ok((name, builder))
+    Ok(builder)
 }
 
 fn render_report(report: &Report) -> String {
@@ -294,7 +291,7 @@ fn render_report(report: &Report) -> String {
 /// Propagates option and name resolution errors.
 pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
     let scheme: Scheme = opts.get_parsed("scheme", "pra")?;
-    let (_, builder) = build(opts, scheme)?;
+    let builder = build(opts, scheme)?;
     if opts.get_bool("verify-determinism") {
         let report = builder.try_run_verified()?;
         let mut out = render_report(&report);
@@ -348,7 +345,7 @@ pub fn cmd_compare(opts: &Options) -> Result<String, CliError> {
     );
     let mut base: Option<Report> = None;
     for scheme in schemes {
-        let (_, builder) = build(opts, scheme)?;
+        let builder = build(opts, scheme)?;
         let report = builder.try_run()?;
         let (norm_p, norm_e, norm_edp) = match &base {
             Some(b) => (
@@ -424,7 +421,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
     match opts.positional.first().map(String::as_str) {
         Some("run") => {
             let scheme: Scheme = opts.get_parsed("scheme", "pra")?;
-            let (_, mut builder) = build(opts, scheme)?;
+            let mut builder = build(opts, scheme)?;
             let trace_path = opts
                 .get("trace-out")
                 .ok_or_else(|| err("trace run needs --trace-out <file>"))?;
@@ -434,9 +431,8 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                 .map_err(|e| err(format!("cannot create {trace_path}: {e}")))?;
             let ring_cap = opts.get_u64("ring", 0)? as usize;
             let ring = if ring_cap > 0 {
-                let ring =
-                    std::rc::Rc::new(std::cell::RefCell::new(sim_obs::RingSink::new(ring_cap)));
-                builder = builder.trace_ring(std::rc::Rc::clone(&ring));
+                let ring = Arc::new(Mutex::new(sim_obs::RingSink::new(ring_cap)));
+                builder = builder.trace_ring(Arc::clone(&ring));
                 Some(ring)
             } else {
                 builder = builder.trace_out(trace_path);
@@ -454,7 +450,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
             let report = builder.try_run()?;
             let mut out = render_report(&report);
             if let Some(ring) = &ring {
-                let ring = ring.borrow();
+                let ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
                 let mut text = String::new();
                 for ev in ring.events() {
                     ev.write_json(&mut text);
@@ -560,14 +556,13 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                 // Run mode: simulate with a flight-recorder ring and the
                 // host-time profiler, then export both clock domains.
                 let scheme: Scheme = opts.get_parsed("scheme", "pra")?;
-                let (_, mut builder) = build(opts, scheme)?;
+                let mut builder = build(opts, scheme)?;
                 let capacity = opts.get_u64("ring", 65_536)? as usize;
                 if capacity == 0 {
                     return Err(err("--ring must be positive"));
                 }
-                let ring =
-                    std::rc::Rc::new(std::cell::RefCell::new(sim_obs::RingSink::new(capacity)));
-                builder = builder.trace_ring(std::rc::Rc::clone(&ring));
+                let ring = Arc::new(Mutex::new(sim_obs::RingSink::new(capacity)));
+                builder = builder.trace_ring(Arc::clone(&ring));
                 sim_prof::reset();
                 sim_prof::set_timeline_capacity(capacity);
                 sim_prof::enable();
@@ -578,7 +573,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                 sim_prof::set_timeline_capacity(0);
                 let report = result?;
                 trace.add_host_spans(&timeline.spans);
-                let ring = ring.borrow();
+                let ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
                 trace.add_sim_events(ring.events());
                 let _ = writeln!(
                     out,
@@ -631,7 +626,7 @@ pub fn cmd_prof(opts: &Options) -> Result<String, CliError> {
     match opts.positional.first().map(String::as_str) {
         Some("run") => {
             let scheme: Scheme = opts.get_parsed("scheme", "pra")?;
-            let (_, builder) = build(opts, scheme)?;
+            let builder = build(opts, scheme)?;
             let top = opts.get_u64("top", 10)? as usize;
             sim_prof::reset();
             sim_prof::enable();
@@ -727,30 +722,12 @@ fn render_journal_report(journal: &str, loaded: &sim_harness::LoadedJournal) -> 
     if by_time.first().is_some_and(|r| r.host_nanos > 0) {
         let _ = writeln!(out, "slowest {} runs:", by_time.len());
         for r in by_time {
-            let cycles_per_sec = if r.host_nanos == 0 {
-                0.0
-            } else {
-                r.cycles as f64 * 1e9 / r.host_nanos as f64
-            };
-            let _ = writeln!(
-                out,
-                "  {:>9.3} s  [{}] {}/{} seed {} ({:.0} cycles/s)",
-                r.host_nanos as f64 / 1e9,
-                r.status,
-                r.scheme,
-                r.workload,
-                r.seed,
-                cycles_per_sec,
-            );
+            let _ = writeln!(out, "{}", r.timing_line());
         }
     }
     for r in &loaded.records {
         if !matches!(r.status, RunStatus::Ok | RunStatus::Recovered) {
-            let _ = writeln!(
-                out,
-                "[{}] {}/{} seed {} (config {:016x}): {}\n  repro: {}",
-                r.status, r.scheme, r.workload, r.seed, r.config_digest, r.detail, r.repro
-            );
+            let _ = writeln!(out, "{}", r.failure_lines());
         }
     }
     out
@@ -848,7 +825,7 @@ pub fn cmd_power(opts: &Options) -> Result<String, CliError> {
     if epoch == 0 {
         return Err(err("--epoch must be a positive cycle count"));
     }
-    let (_, builder) = build(opts, scheme)?;
+    let builder = build(opts, scheme)?;
     let report = builder.metrics_epoch(epoch).try_run()?;
 
     let gauge = |s: &sim_obs::EpochSnapshot, name: &str| -> f64 {
@@ -912,7 +889,7 @@ pub fn cmd_power(opts: &Options) -> Result<String, CliError> {
         report.runtime_ns / 1000.0
     );
     if scheme != Scheme::Baseline {
-        let (_, base_builder) = build(opts, Scheme::Baseline)?;
+        let base_builder = build(opts, Scheme::Baseline)?;
         let base = base_builder.try_run()?;
         let _ = writeln!(
             out,
@@ -1037,7 +1014,11 @@ mod tests {
     fn scheme_policy_and_workload_names() -> TestResult {
         let opts = |args: &[&str]| Options::parse(args.iter().map(|a| a.to_string()));
         let mix = opts(&["--workload", "mix3", "--policy", "Open"])?;
-        assert_eq!(build(&mix, Scheme::Pra)?.0, "MIX3");
+        let canonical = opts(&["--workload", "MIX3", "--policy", "open"])?;
+        assert_eq!(
+            build(&mix, Scheme::Pra)?.config_digest(),
+            build(&canonical, Scheme::Pra)?.config_digest()
+        );
         for (flag, bad, want) in [
             ("--scheme", "x", "unknown scheme \"x\"; valid: baseline,"),
             ("--policy", "x", "unknown policy \"x\"; valid: relaxed,"),
@@ -1536,6 +1517,46 @@ mod tests {
         assert_eq!(e.kind, ErrorKind::Config);
         assert!(e.message.contains("cannot resume"), "{e}");
         std::fs::remove_file(matrix).ok();
+        Ok(())
+    }
+
+    #[test]
+    fn every_journaled_repro_line_reproduces_its_state_digest() -> TestResult {
+        // A benchmark on two cores and on one, and a mix: `pra run` of each
+        // journaled repro line must end on the journaled state digest.
+        let dir = std::env::temp_dir().join("pra-cli-repro-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir)?;
+        let mut records = Vec::new();
+        for (cores, workloads) in [(2, "\"GUPS\", \"MIX2\""), (1, "\"GUPS\"")] {
+            let campaign = Campaign::from_toml_str(&format!(
+                "schemes = [\"pra\"]\nworkloads = [{workloads}]\nseeds = [1]\ncores = {cores}\n\
+                 instructions = 3000\nwarmup = 2000\n"
+            ))?;
+            let journal = dir.join(format!("cores{cores}.jsonl"));
+            let options = CampaignOptions {
+                jobs: 1,
+                journal: journal.clone(),
+                resume: false,
+            };
+            run_campaign(&campaign, &options)?;
+            records.extend(load_journal(&journal)?.records);
+        }
+        assert_eq!(records.len(), 3);
+        for record in records {
+            let digest = record.state_digest.ok_or("the run did not complete")?;
+            let args = record
+                .repro
+                .strip_prefix("pra run ")
+                .ok_or("the repro line is not a `pra run`")?;
+            let out = cmd_run(&Options::parse(args.split_whitespace().map(String::from))?)?;
+            assert!(
+                out.contains(&format!("state digest {digest:016x}")),
+                "{}:\n{out}",
+                record.repro
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 use dram_power::{ActivationEnergyModel, DevicePowerTimings, Figure9Point, IddParams, PowerParams};
 use dram_sim::PagePolicy;
-use workloads::BenchProfile;
+use workloads::{BenchProfile, Workload};
 
 use crate::report::Report;
 use crate::scheme::Scheme;
@@ -62,9 +62,8 @@ impl ExperimentConfig {
 }
 
 /// Every report a figure suite has simulated, keyed by the run's
-/// [`SimBuilder::config_digest`] plus its name, so a run that several
-/// figures share simulates once. The name is part of the key because the
-/// digest leaves it out while the report carries it.
+/// [`SimBuilder::config_digest`], so a run that several figures share
+/// simulates once.
 ///
 /// The store also keeps the newest functionally warmed cache image. A run
 /// whose warm-up would reproduce it (same apps, seed, warm-up length,
@@ -72,7 +71,7 @@ impl ExperimentConfig {
 /// instead of warming up again; its report is identical either way.
 #[derive(Debug, Default)]
 pub struct ReportStore {
-    reports: HashMap<(u64, Option<String>), Report>,
+    reports: HashMap<u64, Report>,
     warm: WarmSlot,
 }
 
@@ -90,7 +89,7 @@ impl ReportStore {
     pub fn report(&mut self, builder: &SimBuilder) -> &Report {
         let warm = &mut self.warm;
         self.reports
-            .entry((builder.config_digest(), builder.name.clone()))
+            .entry(builder.config_digest())
             .or_insert_with(|| builder.run_warm(warm))
     }
 
@@ -133,7 +132,7 @@ impl ReportStore {
         &mut self,
         cfg: &ExperimentConfig,
         report: &Report,
-        apps: &[BenchProfile; 4],
+        apps: &[BenchProfile],
         policy: PagePolicy,
     ) -> f64 {
         let alone: Vec<f64> = apps
@@ -257,15 +256,15 @@ pub struct Fig10Row {
 /// Figure 10: PRA's impact on row-buffer hit rates, across the 14
 /// workloads under the relaxed close-page policy.
 pub fn fig10(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<Fig10Row> {
-    workloads::all_workloads()
-        .into_iter()
-        .map(|(name, apps)| {
-            let builder = workload_builder(cfg, &name, &apps, PagePolicy::RelaxedClosePage);
+    Workload::suite()
+        .iter()
+        .map(|workload| {
+            let builder = workload_builder(cfg, workload, PagePolicy::RelaxedClosePage);
             let r = store.report(&builder.scheme(Scheme::Pra));
             let read = &r.dram.read;
             let write = &r.dram.write;
             Fig10Row {
-                name,
+                name: workload.name().to_string(),
                 hit_rates: (read.hit_rate(), write.hit_rate(), r.dram.total_hit_rate()),
                 false_rates: (
                     read.false_hits as f64 / read.total().max(1) as f64,
@@ -285,11 +284,14 @@ pub fn fig11(
     cfg: &ExperimentConfig,
     policy: PagePolicy,
 ) -> Vec<(String, [f64; 8])> {
-    let mut rows: Vec<(String, [f64; 8])> = workloads::all_workloads()
-        .into_iter()
-        .map(|(name, apps)| {
-            let r = store.report(&workload_builder(cfg, &name, &apps, policy).scheme(Scheme::Pra));
-            (name, r.dram.granularity_proportions())
+    let mut rows: Vec<(String, [f64; 8])> = Workload::suite()
+        .iter()
+        .map(|workload| {
+            let r = store.report(&workload_builder(cfg, workload, policy).scheme(Scheme::Pra));
+            (
+                workload.name().to_string(),
+                r.dram.granularity_proportions(),
+            )
         })
         .collect();
     let mut avg = [0.0; 8];
@@ -338,25 +340,23 @@ pub fn scheme_comparison(
     filter: impl Fn(&str) -> bool,
 ) -> Vec<ComparisonRow> {
     let mut rows = Vec::new();
-    for (name, apps) in workloads::all_workloads()
-        .into_iter()
-        .filter(|(n, _)| filter(n))
-    {
+    for workload in Workload::suite().iter().filter(|w| filter(w.name())) {
         // Alone runs first: the baseline and every scheme of the workload
         // then share one warm image.
+        let apps = workload.apps(4);
         for app in &apps {
             store.alone_ipc(cfg, app, policy);
         }
-        let workload = workload_builder(cfg, &name, &apps, policy);
+        let builder = workload_builder(cfg, workload, policy);
         let base = store
-            .report(&workload.clone().scheme(Scheme::Baseline))
+            .report(&builder.clone().scheme(Scheme::Baseline))
             .clone();
         let base_ws = store.weighted_speedup(cfg, &base, &apps, policy);
         for &scheme in schemes {
-            let r = store.report(&workload.clone().scheme(scheme)).clone();
+            let r = store.report(&builder.clone().scheme(scheme)).clone();
             let ws = store.weighted_speedup(cfg, &r, &apps, policy);
             rows.push(ComparisonRow {
-                workload: name.clone(),
+                workload: workload.name().to_string(),
                 scheme: scheme.name().to_string(),
                 norm_act_power: ratio(r.power.act_pre, base.power.act_pre),
                 norm_io_power: ratio(r.power.io(), base.power.io()),
@@ -474,14 +474,9 @@ pub fn comparison_to_csv(rows: &[ComparisonRow]) -> String {
     out
 }
 
-/// A named 4-app workload under `policy`.
-fn workload_builder(
-    cfg: &ExperimentConfig,
-    name: &str,
-    apps: &[BenchProfile; 4],
-    policy: PagePolicy,
-) -> SimBuilder {
-    cfg.builder().mix(*apps).name(name).policy(policy)
+/// One of the 14 workloads on four cores under `policy`.
+fn workload_builder(cfg: &ExperimentConfig, workload: &Workload, policy: PagePolicy) -> SimBuilder {
+    cfg.builder().workload(workload, 4).policy(policy)
 }
 
 /// `profile` running alone on the baseline under `policy`, named after
@@ -489,8 +484,7 @@ fn workload_builder(
 /// behind [`ReportStore::alone_ipc`].
 fn alone_builder(cfg: &ExperimentConfig, profile: &BenchProfile, policy: PagePolicy) -> SimBuilder {
     cfg.builder()
-        .app(*profile)
-        .name(profile.name)
+        .workload(&Workload::Bench(*profile), 1)
         .scheme(Scheme::Baseline)
         .policy(policy)
 }

@@ -1,13 +1,14 @@
 //! The full-system simulation builder.
 
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 use cache_sim::{CacheHierarchy, HierarchyConfig};
 use cpu_sim::{CpuSystem, InstructionSource, SystemConfig};
 use dram_sim::{DramConfig, MemorySystem, PagePolicy};
 use sim_fault::{Domain, FaultPlan};
 use sim_snap::SnapState as _;
-use workloads::{BenchProfile, Trace, WorkloadGen};
+use workloads::{BenchProfile, Trace, Workload, WorkloadGen};
 
 use crate::error::SimError;
 
@@ -74,7 +75,7 @@ const MIN_CPU_CYCLE_CAP: u64 = 10_000_000;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimBuilder {
-    pub(crate) name: Option<String>,
+    name: Option<String>,
     apps: Vec<AppSpec>,
     scheme: Scheme,
     policy: PagePolicy,
@@ -86,7 +87,7 @@ pub struct SimBuilder {
     generation: DramGeneration,
     ecc_x72: bool,
     trace_out: Option<PathBuf>,
-    trace_ring: Option<std::rc::Rc<std::cell::RefCell<sim_obs::RingSink>>>,
+    trace_ring: Option<Arc<Mutex<sim_obs::RingSink>>>,
     metrics_out: Option<PathBuf>,
     metrics_epoch: u64,
     power_telemetry: bool,
@@ -186,6 +187,17 @@ impl SimBuilder {
         self
     }
 
+    /// Runs `workload` (`cores` copies of a benchmark, or a mix's four
+    /// applications whatever `cores` is) under its name: the one way `pra
+    /// run`, campaigns and the figure suite turn a workload into a run.
+    pub fn workload(self, workload: &Workload, cores: usize) -> Self {
+        let mut builder = self.name(workload.name());
+        builder
+            .apps
+            .extend(workload.apps(cores).into_iter().map(AppSpec::Profile));
+        builder
+    }
+
     /// Overrides the workload name in the report (defaults to joined app
     /// names).
     pub fn name(mut self, name: impl Into<String>) -> Self {
@@ -259,11 +271,11 @@ impl SimBuilder {
 
     /// Feeds every trace event into a shared in-memory [`sim_obs::RingSink`]
     /// instead of a file — the flight-recorder mode behind
-    /// `pra trace export-perfetto`. The caller keeps its own `Rc` clone and
+    /// `pra trace export-perfetto`. The caller keeps its own `Arc` clone and
     /// reads the retained events (and the overflow count,
     /// [`sim_obs::RingSink::dropped`]) back after the run. Ignored when
     /// [`trace_out`](Self::trace_out) streams to a file instead.
-    pub fn trace_ring(mut self, ring: std::rc::Rc<std::cell::RefCell<sim_obs::RingSink>>) -> Self {
+    pub fn trace_ring(mut self, ring: Arc<Mutex<sim_obs::RingSink>>) -> Self {
         self.trace_ring = Some(ring);
         self
     }
@@ -545,17 +557,34 @@ impl SimBuilder {
         (hierarchy, generators)
     }
 
-    /// FNV-1a digest over every knob that shapes simulated state, stamped
-    /// into snapshot headers so a restore into a differently-configured
-    /// builder is rejected instead of silently diverging. Output paths and
-    /// trace sinks are excluded (they only observe); the *effective*
-    /// metrics epoch is included because epoch sealing mutates the
-    /// serialised observer.
+    /// The workload name the report carries: the [`name`](Self::name)
+    /// override, else the app names joined with `+`.
+    fn report_name(&self) -> String {
+        self.name.clone().unwrap_or_else(|| {
+            self.apps
+                .iter()
+                .map(AppSpec::name)
+                .collect::<Vec<_>>()
+                .join("+")
+        })
+    }
+
+    /// FNV-1a digest over every knob that shapes simulated state or the
+    /// report, including the seed and the report's workload name. It is
+    /// stamped into snapshot headers so a restore into a
+    /// differently-configured builder is rejected instead of silently
+    /// diverging, and it is the one key of a run: campaign journals and
+    /// checkpoint directories and the figure suite's report store use it.
+    /// Output paths, trace sinks and the checkpoint knobs are excluded
+    /// (they only observe, and a checkpointed or restored run ends on the
+    /// uninterrupted run's state digest); the *effective* metrics epoch is
+    /// included because epoch sealing mutates the serialised observer.
     pub fn config_digest(&self) -> u64 {
         let mut w = sim_snap::SnapWriter::new();
         w.section("pra-sim-config");
-        w.u32(2); // digest layout version
+        w.u32(3); // digest layout version
         self.write_apps(&mut w);
+        w.str(&self.report_name());
         w.str(self.scheme.name());
         w.str(&format!("{:?}", self.policy));
         w.u64(self.instructions);
@@ -747,13 +776,11 @@ impl SimBuilder {
             system.set_trace_sink(Box::new(std::rc::Rc::clone(&shared)));
             trace_file = Some((path, shared));
         } else if let Some(ring) = &self.trace_ring {
-            system
-                .mem_mut()
-                .set_trace_sink(Box::new(std::rc::Rc::clone(ring)));
+            system.mem_mut().set_trace_sink(Box::new(Arc::clone(ring)));
             system
                 .hierarchy_mut()
-                .set_trace_sink(Box::new(std::rc::Rc::clone(ring)));
-            system.set_trace_sink(Box::new(std::rc::Rc::clone(ring)));
+                .set_trace_sink(Box::new(Arc::clone(ring)));
+            system.set_trace_sink(Box::new(Arc::clone(ring)));
         }
         let epoch = self.effective_metrics_epoch();
         if epoch > 0 {
@@ -841,15 +868,8 @@ impl SimBuilder {
                 instructions: self.instructions,
             });
         }
-        let workload = self.name.clone().unwrap_or_else(|| {
-            self.apps
-                .iter()
-                .map(AppSpec::name)
-                .collect::<Vec<_>>()
-                .join("+")
-        });
         let report = Report {
-            workload,
+            workload: self.report_name(),
             scheme: self
                 .scheme_override
                 .map_or_else(|| self.scheme.name().to_string(), |b| b.name.to_string()),
@@ -921,6 +941,48 @@ mod tests {
         }
         let report = run(16).expect("16 instructions span a memory cycle");
         assert!(report.runtime_ns > 0.0);
+    }
+
+    #[test]
+    fn the_digest_covers_what_a_run_computes_and_nothing_it_only_writes() {
+        let gups: Workload = "GUPS".parse().unwrap();
+        let base = SimBuilder::new().workload(&gups, 1).scheme(Scheme::Pra);
+        let plan = FaultPlan {
+            mask_corrupt_rate: 0.5,
+            ..FaultPlan::disabled()
+        };
+        let unnamed = |cores| SimBuilder::new().homogeneous(workloads::gups(), cores);
+        // Checkpointing and output paths never change what a run computes
+        // (a restored run ends on the uninterrupted state digest), so a
+        // campaign resumed with another checkpoint cadence still skips its
+        // completed runs. The name counts as the report carries it.
+        for (knob, builder, moves) in [
+            ("seed", base.clone().seed(2), true),
+            ("scheme", base.clone().scheme(Scheme::Baseline), true),
+            ("name", base.clone().name("GUPS-alone"), true),
+            ("fault plan", base.clone().faults(plan), true),
+            ("recovery", base.clone().recovery(Default::default()), true),
+            ("watchdog", base.clone().liveness_watchdog(20, 0), true),
+            ("GUPS+GUPS", unnamed(2).scheme(Scheme::Pra), true),
+            (
+                "checkpoint_every",
+                base.clone().checkpoint_every(5_000),
+                false,
+            ),
+            (
+                "checkpoint_dir",
+                base.clone().checkpoint_dir("snaps"),
+                false,
+            ),
+            ("trace_out", base.clone().trace_out("trace.jsonl"), false),
+            ("restore", base.clone().restore("snaps/snap-1.snap"), false),
+            ("unnamed GUPS", unnamed(1).scheme(Scheme::Pra), false),
+        ] {
+            let moved = builder.config_digest() != base.config_digest();
+            assert_eq!(moved, moves, "{knob}");
+        }
+        let two_cores = SimBuilder::new().workload(&gups, 2).config_digest();
+        assert_eq!(unnamed(2).name("GUPS").config_digest(), two_cores);
     }
 
     fn quick(scheme: Scheme) -> Report {
@@ -1196,9 +1258,7 @@ mod tests {
 
     #[test]
     fn ring_sink_records_and_counts_drops() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let run = |ring: Option<Rc<RefCell<sim_obs::RingSink>>>| {
+        let run = |ring: Option<Arc<Mutex<sim_obs::RingSink>>>| {
             let mut b = SimBuilder::new()
                 .app(workloads::gups())
                 .scheme(Scheme::Pra)
@@ -1209,11 +1269,11 @@ mod tests {
             }
             b.run()
         };
-        let ring = Rc::new(RefCell::new(sim_obs::RingSink::new(64)));
-        let recorded = run(Some(Rc::clone(&ring)));
+        let ring = Arc::new(Mutex::new(sim_obs::RingSink::new(64)));
+        let recorded = run(Some(Arc::clone(&ring)));
         let plain = run(None);
         {
-            let ring = ring.borrow();
+            let ring = ring.lock().unwrap();
             assert!(ring.total_emitted() > 64, "a PRA run emits many events");
             assert_eq!(
                 ring.dropped(),

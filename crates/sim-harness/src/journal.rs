@@ -15,7 +15,7 @@ use std::path::Path;
 use sim_snap::codec::{json_escape, json_str, json_u64};
 
 /// How a journaled run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RunStatus {
     /// The simulation completed and produced a report.
     Ok,
@@ -25,7 +25,9 @@ pub enum RunStatus {
     /// purposes, but is reported separately so fault campaigns can assert
     /// the pipeline actually ran.
     Recovered,
-    /// The run panicked or returned a non-liveness error.
+    /// The run panicked or returned a non-liveness error (also the status
+    /// of a record whose run has not finished yet).
+    #[default]
     Failed,
     /// A liveness watchdog (or the protocol checker) tripped mid-run.
     Hung,
@@ -60,11 +62,12 @@ impl fmt::Display for RunStatus {
 }
 
 /// One journaled run: identity, outcome and enough context to reproduce it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JournalRecord {
-    /// [`crate::config_digest`] of the run's spec (seed excluded).
+    /// [`pra_core::SimBuilder::config_digest`] of the run: the resume key
+    /// (it covers the seed).
     pub config_digest: u64,
-    /// Workload RNG seed of the run.
+    /// Workload RNG seed of the run, for human-readable reports.
     pub seed: u64,
     /// How the run ended.
     pub status: RunStatus,
@@ -100,6 +103,42 @@ pub struct JournalRecord {
 }
 
 impl JournalRecord {
+    /// Simulated CPU cycles per host second (0 when nothing was timed).
+    pub fn cycles_per_sec(&self) -> f64 {
+        if self.host_nanos == 0 {
+            return 0.0;
+        }
+        self.cycles as f64 * 1e9 / self.host_nanos as f64
+    }
+
+    /// One row of a "slowest runs" table (no trailing newline).
+    pub fn timing_line(&self) -> String {
+        format!(
+            "  {:>9.3} s  [{}] {}/{} seed {} ({:.0} cycles/s)",
+            self.host_nanos as f64 / 1e9,
+            self.status,
+            self.scheme,
+            self.workload,
+            self.seed,
+            self.cycles_per_sec(),
+        )
+    }
+
+    /// A failed or hung run's detail and repro line (two lines, no
+    /// trailing newline).
+    pub fn failure_lines(&self) -> String {
+        format!(
+            "[{}] {}/{} seed {} (config {:016x}): {}\n  repro: {}",
+            self.status,
+            self.scheme,
+            self.workload,
+            self.seed,
+            self.config_digest,
+            self.detail,
+            self.repro,
+        )
+    }
+
     /// Serialises the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut line = format!(
@@ -156,13 +195,6 @@ impl JournalRecord {
             repro: json_str(line, "repro")?,
         })
     }
-
-    /// The resume key: a run is "already done" when its (config, seed)
-    /// pair appears in the journal, whatever its status — failed runs are
-    /// not silently retried.
-    pub fn key(&self) -> (u64, u64) {
-        (self.config_digest, self.seed)
-    }
 }
 
 /// A journal read back from disk.
@@ -176,9 +208,11 @@ pub struct LoadedJournal {
 }
 
 impl LoadedJournal {
-    /// The set of (config-digest, seed) pairs already journaled.
-    pub fn completed_keys(&self) -> HashSet<(u64, u64)> {
-        self.records.iter().map(JournalRecord::key).collect()
+    /// The config digests already journaled. A run is "already done" when
+    /// its digest appears, whatever its status: failed runs are not
+    /// silently retried.
+    pub fn completed_keys(&self) -> HashSet<u64> {
+        self.records.iter().map(|r| r.config_digest).collect()
     }
 }
 
@@ -337,9 +371,7 @@ mod tests {
         let loaded = load_journal(&path).unwrap();
         assert_eq!(loaded.records.len(), 1);
         assert_eq!(loaded.dropped_lines, 2);
-        assert!(loaded
-            .completed_keys()
-            .contains(&(0xdead_beef_0123_4567, 1)));
+        assert!(loaded.completed_keys().contains(&0xdead_beef_0123_4567));
         std::fs::remove_file(&path).unwrap();
     }
 

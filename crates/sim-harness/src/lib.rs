@@ -1,8 +1,9 @@
 //! Panic-isolated parallel campaign runner for the PRA simulation stack.
 //!
 //! A *campaign* is a batch of simulations over an experiment matrix —
-//! scheme × workload × seed (× optional fault plan) — executed by a pool of
-//! worker threads. The harness is built for overnight sweeps that must
+//! scheme × workload × seed (× optional fault plan) — expanded into one
+//! [`pra_core::SimBuilder`] per run ([`Campaign::expand`]) and executed by a
+//! pool of worker threads. The harness is built for overnight sweeps that must
 //! survive individual bad runs:
 //!
 //! * **Panic isolation** — each run executes behind `catch_unwind`, so a
@@ -14,8 +15,9 @@
 //!   [`RunStatus::Hung`], carrying the starved request's address/bank trail.
 //! * **Journaled resume** — every completed run is appended to a JSONL
 //!   journal as it finishes; an interrupted campaign resumes by skipping
-//!   already-journaled (config-digest, seed) pairs. A truncated trailing
-//!   line (the classic kill-mid-write artifact) is tolerated and re-run.
+//!   runs whose [`pra_core::SimBuilder::config_digest`] is already
+//!   journaled. A truncated trailing line (the classic kill-mid-write
+//!   artifact) is tolerated and re-run.
 //! * **Determinism spot-checks** — an optional sampled fraction of runs is
 //!   executed twice and the two [`pra_core::Report::state_digest`]s
 //!   compared.
@@ -34,15 +36,10 @@
 
 #![warn(missing_docs)]
 
-mod digest;
 mod journal;
 mod matrix;
 mod runner;
 
-pub use digest::config_digest;
 pub use journal::{load_journal, JournalRecord, JournalWriter, LoadedJournal, RunStatus};
-pub use matrix::{Campaign, Fixture, MatrixError, RunSpec};
-pub use runner::{
-    run_campaign, CampaignOptions, CampaignSummary, HarnessError, RunFailure, RunTiming,
-    SLOWEST_KEPT,
-};
+pub use matrix::{Campaign, Job, MatrixError};
+pub use runner::{run_campaign, CampaignOptions, CampaignSummary, HarnessError, SLOWEST_KEPT};

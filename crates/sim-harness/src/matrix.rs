@@ -1,12 +1,17 @@
 //! The experiment matrix: a TOML-subset campaign description and its
-//! expansion into individual run specifications.
+//! expansion into one [`SimBuilder`] per run.
 
 use core::fmt;
 
+use std::path::{Path, PathBuf};
+
 use dram_sim::PagePolicy;
-use pra_core::Scheme;
+use pra_core::{Scheme, SimBuilder};
+use sim_fault::FaultPlan;
 use sim_snap::codec::{kv_lines, KvLine};
 use workloads::Workload;
+
+use crate::journal::JournalRecord;
 
 /// Error parsing or validating a campaign matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,66 +29,51 @@ fn matrix_err(msg: impl Into<String>) -> MatrixError {
     MatrixError(msg.into())
 }
 
-/// Synthetic run kinds a campaign can inject to exercise the harness's
-/// failure paths end to end (used by CI and the demo campaign).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Fixture {
-    /// A normal simulation run.
-    #[default]
-    None,
-    /// Panics instead of simulating — proves panic isolation.
-    Panic,
-    /// Runs with an impossibly tight no-retire watchdog — trips a
-    /// [`dram_sim::LivenessError`] and is classified hung.
-    Hang,
+/// The report name that sets the synthetic panic fixture's config digest
+/// apart from the real cell it copies.
+const PANIC_FIXTURE: &str = "synthetic panic fixture";
+
+/// One run of an expanded campaign.
+#[derive(Debug, Clone)]
+pub struct Job {
+    /// The simulation. Its [`SimBuilder::config_digest`] is the run's
+    /// journal key.
+    pub builder: SimBuilder,
+    /// The run's identity (config digest, seed, scheme, workload) and its
+    /// `pra run` repro line; the runner fills in the outcome.
+    pub record: JournalRecord,
+    /// The run's private checkpoint directory,
+    /// `<checkpoint_dir>/<config_digest:016x>`, when checkpointing is on.
+    /// Concurrent runs never share one, and a re-executed run finds exactly
+    /// its own snapshots.
+    pub checkpoints: Option<PathBuf>,
+    /// The synthetic panic fixture: panics instead of simulating.
+    pub panics: bool,
 }
 
-/// One fully-resolved simulation the campaign will execute.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunSpec {
-    /// Activation scheme under test.
-    pub scheme: Scheme,
-    /// Workload name (a benchmark or `MIX1`..`MIX6`).
-    pub workload: String,
-    /// Page policy.
-    pub policy: PagePolicy,
-    /// Cores for benchmark workloads (mixes always use 4).
-    pub cores: usize,
-    /// Instructions each core retires.
-    pub instructions: u64,
-    /// Functional-warmup memory operations per core.
-    pub warmup: u64,
-    /// Workload RNG seed.
-    pub seed: u64,
-    /// No-retire liveness bound in memory cycles (0 disables).
-    pub watchdog_no_retire: u64,
-    /// Queue-age (starvation) liveness bound in memory cycles (0 disables).
-    pub watchdog_queue_age: u64,
-    /// Optional fault-plan file injected into the run.
-    pub fault_plan: Option<String>,
-    /// Arm the controller recovery pipeline (parity-alert replay with
-    /// full-row fallback) for this run.
-    pub recovery: bool,
-    /// Checkpoint interval in memory cycles (0 disables checkpointing).
-    pub checkpoint_every: u64,
-    /// Root checkpoint directory; each run writes snapshots into its own
-    /// `<config_digest:016x>-<seed>` subdirectory so parallel runs never
-    /// collide. Required exactly when `checkpoint_every > 0`.
-    pub checkpoint_dir: Option<String>,
-    /// Synthetic-fixture kind, [`Fixture::None`] for real runs.
-    pub fixture: Fixture,
+/// One matrix cell before it becomes a [`Job`]: the axis values that both
+/// its builder and its repro line are rendered from.
+#[derive(Clone, Copy)]
+struct Cell<'a> {
+    scheme: Scheme,
+    workload: &'a Workload,
+    plan: Option<&'a (String, FaultPlan)>,
+    seed: u64,
+    /// (no-retire, queue-age) liveness bounds in memory cycles.
+    watchdog: (u64, u64),
+    panics: bool,
 }
 
 /// A campaign description: the axes of the experiment matrix plus the knobs
 /// shared by every run. Parses from a minimal TOML subset
 /// ([`Campaign::from_toml_str`]) and expands to the full cross product
 /// ([`Campaign::expand`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Campaign {
     /// Schemes axis (at least one).
     pub schemes: Vec<Scheme>,
-    /// Workloads axis, canonical names (at least one).
-    pub workloads: Vec<String>,
+    /// Workloads axis (at least one).
+    pub workloads: Vec<Workload>,
     /// Seeds axis (at least one).
     pub seeds: Vec<u64>,
     /// Page policy shared by every run.
@@ -139,7 +129,7 @@ impl Campaign {
 
     fn parse_toml(text: &str) -> Result<Self, String> {
         let mut schemes: Option<Vec<Scheme>> = None;
-        let mut workload_names: Option<Vec<String>> = None;
+        let mut workloads: Option<Vec<Workload>> = None;
         let mut seeds: Option<Vec<u64>> = None;
         let mut policy = PagePolicy::RelaxedClosePage;
         let mut cores = 1usize;
@@ -167,10 +157,10 @@ impl Campaign {
                     );
                 }
                 "workloads" => {
-                    workload_names = Some(
+                    workloads = Some(
                         string_items(kv)?
                             .into_iter()
-                            .map(|n| n.parse::<Workload>().map(|w| w.name().to_string()))
+                            .map(str::parse)
                             .collect::<Result<_, _>>()?,
                     );
                 }
@@ -208,7 +198,7 @@ impl Campaign {
         }
         Ok(Campaign {
             schemes: schemes.ok_or("missing required axis `schemes`")?,
-            workloads: workload_names.ok_or("missing required axis `workloads`")?,
+            workloads: workloads.ok_or("missing required axis `workloads`")?,
             seeds: seeds.ok_or("missing required axis `seeds`")?,
             policy,
             cores,
@@ -267,57 +257,148 @@ impl Campaign {
 
     /// Expands the matrix into the full, deterministically-ordered run
     /// list: scheme-major, then workload, then fault plan, then seed, with
-    /// the synthetic fixtures (when enabled) appended last.
-    pub fn expand(&self) -> Vec<RunSpec> {
-        let mut specs = Vec::new();
-        let mut plans: Vec<Option<String>> = vec![None];
-        plans.extend(self.fault_plans.iter().cloned().map(Some));
+    /// the synthetic fixtures (when enabled) appended last. Each fault-plan
+    /// file is read and parsed once, here.
+    ///
+    /// # Errors
+    ///
+    /// [`MatrixError`] when the campaign is inconsistent or a fault-plan
+    /// file cannot be read or parsed.
+    pub fn expand(&self) -> Result<Vec<Job>, MatrixError> {
+        self.validate()?;
+        let mut plans = Vec::new();
+        for path in &self.fault_plans {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| matrix_err(format!("cannot read fault plan {path}: {e}")))?;
+            let plan =
+                FaultPlan::from_toml_str(&text).map_err(|e| matrix_err(format!("{path}: {e}")))?;
+            plans.push((path.clone(), plan));
+        }
+        let first = Cell {
+            scheme: self.schemes[0],
+            workload: &self.workloads[0],
+            plan: None,
+            seed: self.seeds[0],
+            watchdog: (self.watchdog_no_retire, self.watchdog_queue_age),
+            panics: false,
+        };
+        let mut jobs = Vec::new();
         for &scheme in &self.schemes {
             for workload in &self.workloads {
-                for plan in &plans {
+                for plan in std::iter::once(None).chain(plans.iter().map(Some)) {
                     for &seed in &self.seeds {
-                        specs.push(RunSpec {
+                        jobs.push(self.job(Cell {
                             scheme,
-                            workload: workload.clone(),
-                            policy: self.policy,
-                            cores: self.cores,
-                            instructions: self.instructions,
-                            warmup: self.warmup,
+                            workload,
+                            plan,
                             seed,
-                            watchdog_no_retire: self.watchdog_no_retire,
-                            watchdog_queue_age: self.watchdog_queue_age,
-                            fault_plan: plan.clone(),
-                            recovery: self.recovery,
-                            checkpoint_every: self.checkpoint_every,
-                            checkpoint_dir: self.checkpoint_dir.clone(),
-                            fixture: Fixture::None,
-                        });
+                            ..first
+                        }));
                     }
                 }
             }
         }
-        let template = specs.first().cloned();
-        if let Some(first) = template {
-            if self.include_panic_fixture {
-                specs.push(RunSpec {
-                    fixture: Fixture::Panic,
-                    fault_plan: None,
-                    ..first.clone()
-                });
-            }
-            if self.include_hang_fixture {
-                // A 20-cycle no-retire bound is below a single read's
-                // latency: the run is guaranteed to classify as hung.
-                specs.push(RunSpec {
-                    fixture: Fixture::Hang,
-                    watchdog_no_retire: 20,
-                    watchdog_queue_age: 0,
-                    fault_plan: None,
-                    ..first
-                });
-            }
+        if self.include_panic_fixture {
+            jobs.push(self.job(Cell {
+                panics: true,
+                ..first
+            }));
         }
-        specs
+        if self.include_hang_fixture {
+            // A 20-cycle no-retire bound is below a single read's
+            // latency: the run is guaranteed to classify as hung.
+            jobs.push(self.job(Cell {
+                watchdog: (20, 0),
+                ..first
+            }));
+        }
+        Ok(jobs)
+    }
+
+    /// The builder, checkpoint directory and repro line of one cell.
+    fn job(&self, cell: Cell<'_>) -> Job {
+        let (no_retire, queue_age) = cell.watchdog;
+        let mut builder = SimBuilder::new()
+            .workload(cell.workload, self.cores)
+            .scheme(cell.scheme)
+            .policy(self.policy)
+            .instructions(self.instructions)
+            .seed(cell.seed)
+            .warmup_mem_ops(self.warmup)
+            .liveness_watchdog(no_retire, queue_age);
+        if let Some((_, plan)) = cell.plan {
+            builder = builder.faults(*plan);
+        }
+        if self.recovery {
+            builder = builder.recovery(pra_core::RecoveryConfig::default());
+        }
+        if cell.panics {
+            builder = builder.name(PANIC_FIXTURE);
+        }
+        let digest = builder.config_digest();
+        let checkpoints = self
+            .checkpoint_dir
+            .as_ref()
+            .map(|dir| Path::new(dir).join(format!("{digest:016x}")));
+        if let Some(dir) = &checkpoints {
+            builder = builder
+                .checkpoint_every(self.checkpoint_every)
+                .checkpoint_dir(dir);
+        }
+        let repro = if cell.panics {
+            "# synthetic panic fixture (harness self-test; no CLI equivalent)".to_string()
+        } else {
+            self.repro_line(&cell, checkpoints.as_deref())
+        };
+        Job {
+            builder,
+            record: JournalRecord {
+                config_digest: digest,
+                seed: cell.seed,
+                scheme: cell.scheme.name().to_string(),
+                workload: cell.workload.name().to_string(),
+                repro,
+                ..JournalRecord::default()
+            },
+            checkpoints,
+            panics: cell.panics,
+        }
+    }
+
+    /// A copy-pasteable `pra run` invocation reproducing `cell` outside
+    /// the campaign harness.
+    fn repro_line(&self, cell: &Cell<'_>, checkpoints: Option<&Path>) -> String {
+        let mut line = format!(
+            "pra run --scheme {} --workload {} --policy {} --cores {} --instructions {} --warmup {} --seed {}",
+            cell.scheme.cli_name(),
+            cell.workload.name(),
+            self.policy.cli_name(),
+            self.cores,
+            self.instructions,
+            self.warmup,
+            cell.seed,
+        );
+        let (no_retire, queue_age) = cell.watchdog;
+        if no_retire > 0 {
+            line.push_str(&format!(" --watchdog-no-retire {no_retire}"));
+        }
+        if queue_age > 0 {
+            line.push_str(&format!(" --watchdog-queue-age {queue_age}"));
+        }
+        if let Some((path, _)) = cell.plan {
+            line.push_str(&format!(" --faults {path}"));
+        }
+        if self.recovery {
+            line.push_str(" --recovery");
+        }
+        if let Some(dir) = checkpoints {
+            line.push_str(&format!(
+                " --checkpoint-every {} --checkpoint-dir {}",
+                self.checkpoint_every,
+                dir.display()
+            ));
+        }
+        line
     }
 }
 
@@ -347,70 +428,6 @@ fn string_items(kv: KvLine<'_>) -> Result<Vec<&str>, String> {
         .collect()
 }
 
-impl RunSpec {
-    /// A copy-pasteable `pra run` invocation reproducing this run outside
-    /// the campaign harness (the panic fixture has no CLI equivalent and
-    /// renders as a comment).
-    pub fn repro_line(&self) -> String {
-        if self.fixture == Fixture::Panic {
-            return "# synthetic panic fixture (harness self-test; no CLI equivalent)".to_string();
-        }
-        let mut line = format!(
-            "pra run --scheme {} --workload {} --policy {} --cores {} --instructions {} --warmup {} --seed {}",
-            self.scheme.cli_name(),
-            self.workload,
-            self.policy.cli_name(),
-            self.cores,
-            self.instructions,
-            self.warmup,
-            self.seed,
-        );
-        if self.watchdog_no_retire > 0 {
-            line.push_str(&format!(
-                " --watchdog-no-retire {}",
-                self.watchdog_no_retire
-            ));
-        }
-        if self.watchdog_queue_age > 0 {
-            line.push_str(&format!(
-                " --watchdog-queue-age {}",
-                self.watchdog_queue_age
-            ));
-        }
-        if let Some(plan) = &self.fault_plan {
-            line.push_str(&format!(" --faults {plan}"));
-        }
-        if self.recovery {
-            line.push_str(" --recovery");
-        }
-        if let Some(subdir) = self.checkpoint_subdir() {
-            line.push_str(&format!(
-                " --checkpoint-every {} --checkpoint-dir {}",
-                self.checkpoint_every,
-                subdir.display()
-            ));
-        }
-        line
-    }
-
-    /// This run's private checkpoint directory —
-    /// `<checkpoint_dir>/<config_digest:016x>-<seed>` — or `None` when
-    /// checkpointing is off. The digest/seed pair is the journal's resume
-    /// key, so concurrent runs of one campaign never share a directory and
-    /// a re-executed run finds exactly its own snapshots.
-    pub fn checkpoint_subdir(&self) -> Option<std::path::PathBuf> {
-        let dir = self.checkpoint_dir.as_ref()?;
-        if self.checkpoint_every == 0 {
-            return None;
-        }
-        Some(std::path::Path::new(dir).join(format!(
-            "{:016x}-{}",
-            crate::digest::config_digest(self),
-            self.seed
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,35 +440,90 @@ mod tests {
         seeds = [1, 2]
     "#;
 
+    fn names(c: &Campaign) -> Vec<&str> {
+        c.workloads.iter().map(Workload::name).collect()
+    }
+
     #[test]
     fn minimal_matrix_parses_with_defaults() {
         let c = Campaign::from_toml_str(MINIMAL).unwrap();
         assert_eq!(c.schemes, vec![Scheme::Baseline, Scheme::Pra]);
-        assert_eq!(c.workloads, vec!["GUPS", "lbm", "MIX1"]);
+        assert_eq!(names(&c), vec!["GUPS", "lbm", "MIX1"]);
         assert_eq!(c.seeds, vec![1, 2]);
         assert_eq!(c.policy, PagePolicy::RelaxedClosePage);
         assert_eq!(c.cores, 1);
         assert_eq!(c.watchdog_no_retire, 1_000_000);
-        assert_eq!(c.expand().len(), 2 * 3 * 2);
+        assert_eq!(c.expand().unwrap().len(), 2 * 3 * 2);
+    }
+
+    #[test]
+    fn every_run_has_its_own_config_digest() {
+        // The digest covers the seed, so it alone keys the journal.
+        let c = Campaign::from_toml_str(MINIMAL).unwrap();
+        let jobs = c.expand().unwrap();
+        let digests: std::collections::HashSet<u64> =
+            jobs.iter().map(|j| j.record.config_digest).collect();
+        assert_eq!(digests.len(), jobs.len());
+        for job in &jobs {
+            assert_eq!(job.record.config_digest, job.builder.config_digest());
+        }
+    }
+
+    fn plan_file(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sim_harness_matrix_{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stress.toml");
+        std::fs::write(&path, "[faults]\nseed = 4\nmask_corrupt_rate = 0.5\n").unwrap();
+        path
     }
 
     #[test]
     fn fixtures_and_fault_plans_extend_the_matrix() {
+        let plan = plan_file("fixtures");
         let text = format!(
-            "{MINIMAL}\nfault_plans = [\"plans/stress.toml\"]\n\
-             include_panic_fixture = true\ninclude_hang_fixture = true\n"
+            "{MINIMAL}\nfault_plans = [\"{}\"]\n\
+             include_panic_fixture = true\ninclude_hang_fixture = true\n",
+            plan.display()
         );
         let c = Campaign::from_toml_str(&text).unwrap();
-        let specs = c.expand();
+        let jobs = c.expand().unwrap();
         // Each (scheme, workload, seed) runs once bare and once faulted.
-        assert_eq!(specs.len(), 2 * 3 * 2 * 2 + 2);
-        let panic_spec = &specs[specs.len() - 2];
-        let hang_spec = &specs[specs.len() - 1];
-        assert_eq!(panic_spec.fixture, Fixture::Panic);
-        assert!(panic_spec.repro_line().starts_with('#'));
-        assert_eq!(hang_spec.fixture, Fixture::Hang);
-        assert_eq!(hang_spec.watchdog_no_retire, 20);
-        assert!(hang_spec.repro_line().contains("--watchdog-no-retire 20"));
+        assert_eq!(jobs.len(), 2 * 3 * 2 * 2 + 2);
+        assert!(jobs[2].record.repro.contains("--faults"));
+        assert!(!jobs[0].record.repro.contains("--faults"));
+        let panic_job = &jobs[jobs.len() - 2];
+        let hang_job = &jobs[jobs.len() - 1];
+        assert!(panic_job.panics);
+        assert!(panic_job.record.repro.starts_with('#'));
+        // Both fixtures copy the first cell, yet neither shares its key.
+        assert_ne!(panic_job.record.config_digest, jobs[0].record.config_digest);
+        assert!(!hang_job.panics);
+        assert_ne!(hang_job.record.config_digest, jobs[0].record.config_digest);
+        assert!(
+            hang_job.record.repro.contains("--watchdog-no-retire 20"),
+            "{}",
+            hang_job.record.repro
+        );
+        let _ = std::fs::remove_file(plan);
+    }
+
+    #[test]
+    fn unreadable_or_invalid_fault_plans_fail_the_expansion() {
+        let text = format!("{MINIMAL}\nfault_plans = [\"/no/such/plan.toml\"]\n");
+        let e = Campaign::from_toml_str(&text)
+            .unwrap()
+            .expand()
+            .unwrap_err();
+        assert!(e.to_string().contains("/no/such/plan.toml"), "{e}");
+        let plan = plan_file("invalid");
+        std::fs::write(&plan, "[faults]\nmask_corrupt_rate = 2.0\n").unwrap();
+        let text = format!("{MINIMAL}\nfault_plans = [\"{}\"]\n", plan.display());
+        let e = Campaign::from_toml_str(&text)
+            .unwrap()
+            .expand()
+            .unwrap_err();
+        assert!(e.to_string().contains("mask_corrupt_rate"), "{e}");
+        let _ = std::fs::remove_file(plan);
     }
 
     #[test]
@@ -474,59 +546,64 @@ mod tests {
             .replace("\"GUPS\"", "\"gups\"")
             .replace("\"MIX1\"", "\"mix1\"");
         let c = Campaign::from_toml_str(&text).unwrap();
-        assert_eq!(c.workloads[0], "GUPS");
-        assert_eq!(c.workloads[2], "MIX1");
+        assert_eq!(names(&c), vec!["GUPS", "lbm", "MIX1"]);
+        let jobs = c.expand().unwrap();
+        assert_eq!(jobs[0].record.workload, "GUPS");
+        assert!(jobs[0].record.repro.contains("--workload GUPS"));
     }
 
     #[test]
-    fn recovery_knob_flows_into_specs_and_repro() {
+    fn recovery_knob_flows_into_builders_and_repro() {
         let text = format!("{MINIMAL}\nrecovery = true\n");
         let c = Campaign::from_toml_str(&text).unwrap();
         assert!(c.recovery);
-        let specs = c.expand();
-        assert!(specs.iter().all(|s| s.recovery));
-        assert!(specs[0].repro_line().ends_with("--recovery"));
+        let jobs = c.expand().unwrap();
+        assert!(jobs.iter().all(|j| j.record.repro.ends_with("--recovery")));
         let plain = Campaign::from_toml_str(MINIMAL).unwrap();
         assert!(!plain.recovery, "recovery defaults off");
-        assert!(!plain.expand()[0].repro_line().contains("--recovery"));
+        let plain_jobs = plain.expand().unwrap();
+        assert!(!plain_jobs[0].record.repro.contains("--recovery"));
+        assert_ne!(
+            jobs[0].record.config_digest,
+            plain_jobs[0].record.config_digest
+        );
     }
 
     #[test]
-    fn checkpoint_knobs_parse_and_flow_into_specs() {
+    fn checkpoint_knobs_parse_and_flow_into_jobs() {
         let text = format!("{MINIMAL}\ncheckpoint_every = 5000\ncheckpoint_dir = \"/tmp/snaps\"\n");
         let c = Campaign::from_toml_str(&text).unwrap();
         assert_eq!(c.checkpoint_every, 5_000);
         assert_eq!(c.checkpoint_dir.as_deref(), Some("/tmp/snaps"));
-        let specs = c.expand();
-        let spec = &specs[0];
-        assert_eq!(spec.checkpoint_every, 5_000);
-        let subdir = spec.checkpoint_subdir().unwrap();
-        let name = subdir.file_name().unwrap().to_str().unwrap();
-        // <config_digest:016x>-<seed>
-        let (digest_part, seed_part) = name.split_once('-').unwrap();
-        assert_eq!(digest_part.len(), 16, "{name}");
+        let jobs = c.expand().unwrap();
+        let job = &jobs[0];
+        // <checkpoint_dir>/<config_digest:016x>
+        let subdir = job.checkpoints.clone().unwrap();
         assert_eq!(
-            u64::from_str_radix(digest_part, 16).unwrap(),
-            crate::digest::config_digest(spec)
+            subdir,
+            Path::new("/tmp/snaps").join(format!("{:016x}", job.record.config_digest))
         );
-        assert_eq!(seed_part, spec.seed.to_string());
         // Different seeds get different subdirectories.
-        let other = specs.iter().find(|s| s.seed != spec.seed).unwrap();
-        assert_ne!(subdir, other.checkpoint_subdir().unwrap());
-        let line = spec.repro_line();
+        let other = jobs
+            .iter()
+            .find(|j| j.record.seed != job.record.seed)
+            .unwrap();
+        assert_ne!(Some(subdir.clone()), other.checkpoints);
+        let line = &job.record.repro;
         assert!(line.contains("--checkpoint-every 5000"), "{line}");
         assert!(
             line.contains(&format!("--checkpoint-dir {}", subdir.display())),
             "{line}"
         );
+        // The checkpoint knobs leave the journal key alone.
+        let plain = Campaign::from_toml_str(MINIMAL).unwrap().expand().unwrap();
+        assert_eq!(plain[0].record.config_digest, job.record.config_digest);
         // Off by default: no flags, no subdir.
-        let plain = Campaign::from_toml_str(MINIMAL).unwrap();
-        let spec = &plain.expand()[0];
-        assert!(spec.checkpoint_subdir().is_none());
+        assert!(plain[0].checkpoints.is_none());
         assert!(
-            !spec.repro_line().contains("--checkpoint"),
+            !plain[0].record.repro.contains("--checkpoint"),
             "{}",
-            spec.repro_line()
+            plain[0].record.repro
         );
     }
 
@@ -546,8 +623,7 @@ mod tests {
     #[test]
     fn repro_line_is_cli_shaped() {
         let c = Campaign::from_toml_str(MINIMAL).unwrap();
-        let spec = &c.expand()[0];
-        let line = spec.repro_line();
+        let line = &c.expand().unwrap()[0].record.repro;
         assert!(
             line.starts_with("pra run --scheme baseline --workload GUPS"),
             "{line}"

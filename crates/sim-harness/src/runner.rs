@@ -8,12 +8,11 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use pra_core::{Report, SimBuilder, SimError, SnapOutcome};
+use pra_core::{Report, SimError, SnapOutcome};
 use sim_obs::MetricsRegistry;
 
-use crate::digest::config_digest;
 use crate::journal::{load_journal, JournalRecord, JournalWriter, LoadedJournal, RunStatus};
-use crate::matrix::{Campaign, Fixture, RunSpec};
+use crate::matrix::{Campaign, Job};
 
 /// Error starting or finishing a campaign (the individual runs inside it
 /// never error the campaign — they journal as failed/hung instead).
@@ -39,57 +38,11 @@ pub struct CampaignOptions {
     pub jobs: usize,
     /// Journal path (created when missing unless `resume` is set).
     pub journal: PathBuf,
-    /// Resume mode: the journal must already exist, and journaled
-    /// (config, seed) pairs are skipped. A plain run against an existing
-    /// journal also skips completed pairs — resume merely refuses to start
+    /// Resume mode: the journal must already exist, and journaled runs
+    /// (by config digest) are skipped. A plain run against an existing
+    /// journal also skips completed runs — resume merely refuses to start
     /// from scratch by accident.
     pub resume: bool,
-}
-
-/// One failed or hung run, with everything needed to triage it.
-#[derive(Debug, Clone)]
-pub struct RunFailure {
-    /// Final status ([`RunStatus::Failed`] or [`RunStatus::Hung`]).
-    pub status: RunStatus,
-    /// Scheme name.
-    pub scheme: String,
-    /// Workload name.
-    pub workload: String,
-    /// Workload RNG seed.
-    pub seed: u64,
-    /// Config digest (seed excluded), the journal's resume key.
-    pub config_digest: u64,
-    /// Panic payload, liveness trail or error message.
-    pub detail: String,
-    /// Copy-pasteable reproduction command.
-    pub repro: String,
-}
-
-/// Host timing of one executed run, kept for the "slowest runs" trail.
-#[derive(Debug, Clone)]
-pub struct RunTiming {
-    /// Scheme name.
-    pub scheme: String,
-    /// Workload name.
-    pub workload: String,
-    /// Workload RNG seed.
-    pub seed: u64,
-    /// Final status.
-    pub status: RunStatus,
-    /// Host wall-clock nanoseconds the run took.
-    pub host_nanos: u64,
-    /// CPU cycles the run simulated (0 for failed/hung runs).
-    pub cycles: u64,
-}
-
-impl RunTiming {
-    /// Simulated CPU cycles per host second (0 when nothing was timed).
-    pub fn cycles_per_sec(&self) -> f64 {
-        if self.host_nanos == 0 {
-            return 0.0;
-        }
-        self.cycles as f64 * 1e9 / self.host_nanos as f64
-    }
 }
 
 /// Slowest runs kept in the summary trail.
@@ -123,10 +76,10 @@ pub struct CampaignSummary {
     /// Worker threads used.
     pub jobs: usize,
     /// Every failed or hung run, in completion order.
-    pub failures: Vec<RunFailure>,
+    pub failures: Vec<JournalRecord>,
     /// The [`SLOWEST_KEPT`] slowest executed runs by host time, slowest
     /// first.
-    pub slowest: Vec<RunTiming>,
+    pub slowest: Vec<JournalRecord>,
     /// Campaign counters and the per-run cycle histogram.
     pub metrics: MetricsRegistry,
 }
@@ -214,84 +167,41 @@ impl CampaignSummary {
         }
         if !self.slowest.is_empty() {
             out.push_str(&format!("\nslowest {} runs:", self.slowest.len()));
-            for t in &self.slowest {
-                out.push_str(&format!(
-                    "\n  {:>9.3} s  [{}] {}/{} seed {} ({:.0} cycles/s)",
-                    t.host_nanos as f64 / 1e9,
-                    t.status,
-                    t.scheme,
-                    t.workload,
-                    t.seed,
-                    t.cycles_per_sec(),
-                ));
+            for record in &self.slowest {
+                out.push('\n');
+                out.push_str(&record.timing_line());
             }
         }
-        for failure in &self.failures {
-            out.push_str(&format!(
-                "\n[{}] {}/{} seed {} (config {:016x}): {}\n  repro: {}",
-                failure.status,
-                failure.scheme,
-                failure.workload,
-                failure.seed,
-                failure.config_digest,
-                failure.detail,
-                failure.repro,
-            ));
+        for record in &self.failures {
+            out.push('\n');
+            out.push_str(&record.failure_lines());
         }
         out
     }
 }
 
-/// Builds the simulator for one spec and runs it (optionally twice, for
-/// the determinism spot-check). Runs on a worker thread inside
-/// `catch_unwind`; panics (including the synthetic fixture's) unwind to
-/// the isolation boundary in [`execute_spec`].
+/// Runs one job (optionally twice, for the determinism spot-check). Runs
+/// on a worker thread inside `catch_unwind`; panics (including the
+/// synthetic fixture's) unwind to the isolation boundary in
+/// [`execute_job`].
 ///
-/// With checkpointing configured, the run writes snapshots into the spec's
-/// private subdirectory and — when a previous attempt (killed campaign,
-/// failed run) left a valid snapshot behind — restores from the newest one
-/// instead of repeating the simulated prefix. The restore contract
-/// guarantees the final state digest is unchanged either way.
-fn run_spec(spec: &RunSpec, verify: bool) -> Result<(Report, SnapOutcome), SimError> {
-    if spec.fixture == Fixture::Panic {
+/// With checkpointing configured, the run writes snapshots into the job's
+/// private directory and — when a previous attempt (killed campaign, failed
+/// run) left a valid snapshot behind — restores from the newest one instead
+/// of repeating the simulated prefix. The restore contract guarantees the
+/// final state digest is unchanged either way.
+fn run_job(job: &Job, verify: bool) -> Result<(Report, SnapOutcome), SimError> {
+    if job.panics {
         panic!(
             "synthetic panic fixture: poisoned configuration for {}",
-            spec.workload
+            job.record.workload
         );
     }
-    let mut builder = SimBuilder::new()
-        .scheme(spec.scheme)
-        .policy(spec.policy)
-        .instructions(spec.instructions)
-        .seed(spec.seed)
-        .warmup_mem_ops(spec.warmup)
-        .liveness_watchdog(spec.watchdog_no_retire, spec.watchdog_queue_age);
-    let workload: workloads::Workload = spec
-        .workload
-        .parse()
-        .unwrap_or_else(|_| panic!("workload {:?} vanished after validation", spec.workload));
-    builder = match workload {
-        workloads::Workload::Mix(mix) => builder.name(mix.name).mix(mix.apps),
-        workloads::Workload::Bench(profile) => builder.homogeneous(profile, spec.cores),
-    };
-    if let Some(path) = &spec.fault_plan {
-        let text = std::fs::read_to_string(path).map_err(|e| SimError::Io {
-            path: PathBuf::from(path),
-            source: e,
-        })?;
-        let plan = sim_fault::FaultPlan::from_toml_str(&text)?;
-        builder = builder.faults(plan);
-    }
-    if spec.recovery {
-        builder = builder.recovery(pra_core::RecoveryConfig::default());
-    }
-    if let Some(subdir) = spec.checkpoint_subdir() {
-        builder = builder
-            .checkpoint_every(spec.checkpoint_every)
-            .checkpoint_dir(&subdir);
+    let mut builder = job.builder.clone();
+    if let Some(dir) = &job.checkpoints {
         // Torn or mismatched snapshots are skipped by latest_valid; the
         // run simply starts further back (or from cycle 0).
-        if let Ok(Some(found)) = sim_snap::latest_valid(&subdir, Some(builder.config_digest())) {
+        if let Ok(Some(found)) = sim_snap::latest_valid(dir, Some(job.record.config_digest)) {
             builder = builder.restore(found.path);
         }
     }
@@ -309,13 +219,13 @@ fn run_spec(spec: &RunSpec, verify: bool) -> Result<(Report, SnapOutcome), SimEr
     Ok((report, snap))
 }
 
-/// The cycle of the newest valid snapshot in the spec's checkpoint
-/// subdirectory, or `None` when checkpointing is off or no valid snapshot
+/// The cycle of the newest valid snapshot in the job's checkpoint
+/// directory, or `None` when checkpointing is off or no valid snapshot
 /// exists. Used to detect whether a failed attempt made checkpoint
 /// progress (and a retry is therefore worth starting).
-fn newest_checkpoint_cycle(spec: &RunSpec) -> Option<u64> {
-    let subdir = spec.checkpoint_subdir()?;
-    sim_snap::latest_valid(&subdir, None)
+fn newest_checkpoint_cycle(job: &Job) -> Option<u64> {
+    let dir = job.checkpoints.as_ref()?;
+    sim_snap::latest_valid(dir, None)
         .ok()
         .flatten()
         .map(|found| found.header.cycle)
@@ -373,7 +283,7 @@ fn classify_attempt(record: &mut JournalRecord, outcome: AttemptOutcome) -> bool
     }
 }
 
-/// Executes one spec behind the panic-isolation boundary and classifies
+/// Executes one job behind the panic-isolation boundary and classifies
 /// the outcome into a journal record. Never panics, never errors.
 ///
 /// With checkpointing configured, a failed or hung attempt that made
@@ -383,36 +293,21 @@ fn classify_attempt(record: &mut JournalRecord, outcome: AttemptOutcome) -> bool
 /// failures fail again quickly — the retry resumes just before the failure
 /// point — while host-level flukes (and runs re-executed after a killed
 /// campaign) complete with `resumed_from_cycle` journaled.
-fn execute_spec(spec: &RunSpec, verify: bool) -> (JournalRecord, bool) {
-    let digest = config_digest(spec);
-    let mut record = JournalRecord {
-        config_digest: digest,
-        seed: spec.seed,
-        status: RunStatus::Failed,
-        scheme: spec.scheme.name().to_string(),
-        workload: spec.workload.clone(),
-        cycles: 0,
-        host_nanos: 0,
-        energy_pj: 0,
-        avg_power_mw: 0,
-        resumed_from_cycle: 0,
-        state_digest: None,
-        detail: String::new(),
-        repro: spec.repro_line(),
-    };
+fn execute_job(job: &Job, verify: bool) -> (JournalRecord, bool) {
+    let mut record = job.record.clone();
     #[expect(
         clippy::disallowed_methods,
         reason = "the host time of one run is journaled as host_nanos and never fed into simulator state"
     )]
     let started = Instant::now();
-    let before = newest_checkpoint_cycle(spec);
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_spec(spec, verify)));
+    let before = newest_checkpoint_cycle(job);
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_job(job, verify)));
     let mut mismatch = classify_attempt(&mut record, outcome);
     if !matches!(record.status, RunStatus::Ok | RunStatus::Recovered)
-        && newest_checkpoint_cycle(spec) > before
+        && newest_checkpoint_cycle(job) > before
     {
         let first_detail = std::mem::take(&mut record.detail);
-        let retry = catch_unwind(AssertUnwindSafe(|| run_spec(spec, verify)));
+        let retry = catch_unwind(AssertUnwindSafe(|| run_job(job, verify)));
         mismatch = classify_attempt(&mut record, retry);
         if !matches!(record.status, RunStatus::Ok | RunStatus::Recovered) {
             record.detail = format!(
@@ -430,18 +325,18 @@ fn execute_spec(spec: &RunSpec, verify: bool) -> (JournalRecord, bool) {
 ///
 /// # Errors
 ///
-/// [`HarnessError`] when the matrix is inconsistent, resume is requested
-/// without an existing journal, or the journal cannot be read or written.
+/// [`HarnessError`] when the matrix is inconsistent, a fault-plan file
+/// cannot be read or parsed, resume is requested without an existing
+/// journal (or with one this matrix did not write), or the journal cannot
+/// be read or written.
 /// Individual run failures do *not* error — they are journaled and
 /// reported in the summary (see [`CampaignSummary::has_failures`]).
 pub fn run_campaign(
     campaign: &Campaign,
     options: &CampaignOptions,
 ) -> Result<CampaignSummary, HarnessError> {
-    campaign
-        .validate()
-        .map_err(|e| harness_err(e.to_string()))?;
-    let specs = campaign.expand();
+    let jobs = campaign.expand().map_err(|e| harness_err(e.to_string()))?;
+    let total = jobs.len();
 
     let journal_exists = options.journal.exists();
     if options.resume && !journal_exists {
@@ -457,11 +352,12 @@ pub fn run_campaign(
         LoadedJournal::default()
     };
     if options.resume {
-        // Refuse to resume against a journal another campaign wrote: every
-        // journaled config digest must be producible by the re-expanded
-        // matrix, else "skip completed runs" would silently skip runs of a
-        // *different* experiment.
-        let expected: std::collections::HashSet<u64> = specs.iter().map(config_digest).collect();
+        // Refuse to resume against a journal another campaign (or an older
+        // journal format) wrote: every journaled config digest must be
+        // producible by the re-expanded matrix, else "skip completed runs"
+        // would silently skip runs of a *different* experiment.
+        let expected: std::collections::HashSet<u64> =
+            jobs.iter().map(|j| j.record.config_digest).collect();
         if let Some(alien) = loaded
             .records
             .iter()
@@ -470,7 +366,9 @@ pub fn run_campaign(
             return Err(harness_err(format!(
                 "cannot resume: journal {} was written by a different campaign — \
                  record {}/{} seed {} has config digest {:016x}, which the \
-                 re-expanded matrix does not produce (did the matrix file change?)",
+                 re-expanded matrix does not produce (did the matrix file change, \
+                 or does the journal predate the current journal format, which \
+                 keys each run on the simulator's config digest?)",
                 options.journal.display(),
                 alien.scheme,
                 alien.workload,
@@ -481,17 +379,16 @@ pub fn run_campaign(
     }
     let completed = loaded.completed_keys();
 
-    let mut todo: Vec<(RunSpec, bool)> = Vec::new();
+    let mut todo: Vec<(Job, bool)> = Vec::new();
     let mut skipped = 0usize;
-    for spec in &specs {
-        if completed.contains(&(config_digest(spec), spec.seed)) {
+    for job in jobs {
+        if completed.contains(&job.record.config_digest) {
             skipped += 1;
         } else {
             let sample = campaign.determinism_sample;
-            let verify = sample > 0
-                && spec.fixture == Fixture::None
-                && (todo.len() as u64 + 1).is_multiple_of(sample);
-            todo.push((spec.clone(), verify));
+            let verify =
+                sample > 0 && !job.panics && (todo.len() as u64 + 1).is_multiple_of(sample);
+            todo.push((job, verify));
         }
     }
 
@@ -506,7 +403,7 @@ pub fn run_campaign(
     .min(todo.len().max(1));
 
     let mut summary = CampaignSummary {
-        total: specs.len(),
+        total,
         ok: 0,
         recovered: 0,
         failed: 0,
@@ -552,8 +449,8 @@ pub fn run_campaign(
             scope.spawn(move || loop {
                 let job = queue.lock().map(|mut q| q.pop_front());
                 match job {
-                    Ok(Some((spec, verify))) => {
-                        if tx.send(execute_spec(&spec, verify)).is_err() {
+                    Ok(Some((job, verify))) => {
+                        if tx.send(execute_job(&job, verify)).is_err() {
                             return;
                         }
                     }
@@ -599,44 +496,28 @@ pub fn run_campaign(
             }
             summary.metrics.add(host_id, record.host_nanos);
             summary.metrics.add(energy_id, record.energy_pj);
-            let timing = RunTiming {
-                scheme: record.scheme.clone(),
-                workload: record.workload.clone(),
-                seed: record.seed,
-                status: record.status,
-                host_nanos: record.host_nanos,
-                cycles: record.cycles,
-            };
             // Per-run heartbeat, so a long campaign is observable while it
             // runs (stderr: the report itself goes to stdout).
             eprintln!(
                 "[campaign {done}/{pending}] {}/{} seed {}: {} in {:.2} s ({:.0} cycles/s) | {} ok {} recovered {} failed {} hung",
-                timing.scheme,
-                timing.workload,
-                timing.seed,
-                timing.status,
-                timing.host_nanos as f64 / 1e9,
-                timing.cycles_per_sec(),
+                record.scheme,
+                record.workload,
+                record.seed,
+                record.status,
+                record.host_nanos as f64 / 1e9,
+                record.cycles_per_sec(),
                 summary.ok,
                 summary.recovered,
                 summary.failed,
                 summary.hung,
             );
-            summary.slowest.push(timing);
+            summary.slowest.push(record.clone());
             summary
                 .slowest
-                .sort_by_key(|t| std::cmp::Reverse(t.host_nanos));
+                .sort_by_key(|r| std::cmp::Reverse(r.host_nanos));
             summary.slowest.truncate(SLOWEST_KEPT);
             if !matches!(record.status, RunStatus::Ok | RunStatus::Recovered) {
-                summary.failures.push(RunFailure {
-                    status: record.status,
-                    scheme: record.scheme.clone(),
-                    workload: record.workload.clone(),
-                    seed: record.seed,
-                    config_digest: record.config_digest,
-                    detail: record.detail.clone(),
-                    repro: record.repro.clone(),
-                });
+                summary.failures.push(record.clone());
             }
             if let Err(e) = writer.append(&record) {
                 return Err(harness_err(format!(
@@ -654,25 +535,23 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pra_core::Scheme;
 
-    fn tiny_spec(fixture: Fixture) -> RunSpec {
-        RunSpec {
-            scheme: Scheme::Baseline,
-            workload: "GUPS".to_string(),
-            policy: dram_sim::PagePolicy::RelaxedClosePage,
-            cores: 1,
-            instructions: 300,
-            warmup: 1_000,
-            seed: 1,
-            watchdog_no_retire: if fixture == Fixture::Hang { 20 } else { 0 },
-            watchdog_queue_age: 0,
-            fault_plan: None,
-            recovery: false,
-            checkpoint_every: 0,
-            checkpoint_dir: None,
-            fixture,
-        }
+    const TINY: &str = "schemes = [\"baseline\"]\nworkloads = [\"GUPS\"]\nseeds = [1]\n\
+                        instructions = 300\nwarmup = 1000\nwatchdog_no_retire = 0\n";
+
+    /// The last job of the tiny matrix plus `extra` lines (the fixtures
+    /// come last when enabled).
+    fn tiny_job(extra: &str) -> Job {
+        let campaign = Campaign::from_toml_str(&format!("{TINY}{extra}")).unwrap();
+        campaign.expand().unwrap().pop().unwrap()
+    }
+
+    /// `checkpoint_every` and `checkpoint_dir` lines for a checkpoint root.
+    fn checkpointing(every: u64, root: &std::path::Path) -> String {
+        format!(
+            "checkpoint_every = {every}\ncheckpoint_dir = \"{}\"\n",
+            root.display()
+        )
     }
 
     /// A fresh (pre-cleaned) checkpoint root for one test.
@@ -685,7 +564,7 @@ mod tests {
 
     #[test]
     fn panic_fixture_is_isolated_and_classified_failed() {
-        let (record, mismatch) = execute_spec(&tiny_spec(Fixture::Panic), false);
+        let (record, mismatch) = execute_job(&tiny_job("include_panic_fixture = true\n"), false);
         assert_eq!(record.status, RunStatus::Failed);
         assert!(
             record.detail.contains("synthetic panic fixture"),
@@ -698,7 +577,7 @@ mod tests {
 
     #[test]
     fn hang_fixture_is_classified_hung_with_trail() {
-        let (record, _) = execute_spec(&tiny_spec(Fixture::Hang), false);
+        let (record, _) = execute_job(&tiny_job("include_hang_fixture = true\n"), false);
         assert_eq!(record.status, RunStatus::Hung);
         assert!(
             record.detail.contains("liveness violation"),
@@ -713,8 +592,8 @@ mod tests {
     }
 
     #[test]
-    fn normal_spec_reports_cycles_and_digest() {
-        let (record, _) = execute_spec(&tiny_spec(Fixture::None), true);
+    fn normal_job_reports_cycles_and_digest() {
+        let (record, _) = execute_job(&tiny_job(""), true);
         assert_eq!(record.status, RunStatus::Ok, "{}", record.detail);
         assert!(record.cycles > 0);
         assert!(record.state_digest.is_some());
@@ -732,36 +611,26 @@ mod tests {
              persistent_rate = 0.1\ntransient_burst_len = 2\n",
         )
         .unwrap();
-        let mut spec = tiny_spec(Fixture::None);
-        spec.scheme = Scheme::Pra;
-        spec.instructions = 3_000;
-        spec.fault_plan = Some(plan.to_str().unwrap().to_string());
-        spec.recovery = true;
-        let (record, mismatch) = execute_spec(&spec, true);
+        // Later lines override the tiny matrix's; the faulted cell comes
+        // after the bare one.
+        let faulted = |recovery: bool| {
+            tiny_job(&format!(
+                "schemes = [\"pra\"]\ninstructions = 3000\nfault_plans = [\"{}\"]\n\
+                 recovery = {recovery}\n",
+                plan.display()
+            ))
+        };
+        let job = faulted(true);
+        let (record, mismatch) = execute_job(&job, true);
         assert_eq!(record.status, RunStatus::Recovered, "{}", record.detail);
         assert!(!mismatch, "recovery must stay digest-deterministic");
         assert!(record.state_digest.is_some());
         assert!(record.repro.ends_with("--recovery"), "{}", record.repro);
-        // Same spec without recovery still completes (legacy degrade path)
-        // and journals plain ok.
-        spec.recovery = false;
-        let (record, _) = execute_spec(&spec, false);
+        // The same run without recovery still completes (legacy degrade
+        // path) and journals plain ok.
+        let (record, _) = execute_job(&faulted(false), false);
         assert_eq!(record.status, RunStatus::Ok, "{}", record.detail);
         std::fs::remove_file(&plan).ok();
-    }
-
-    #[test]
-    fn missing_fault_plan_file_fails_cleanly() {
-        let mut spec = tiny_spec(Fixture::None);
-        spec.fault_plan = Some("/no/such/plan.toml".to_string());
-        let (record, _) = execute_spec(&spec, false);
-        assert_eq!(record.status, RunStatus::Failed);
-        assert!(
-            record.detail.contains("/no/such/plan.toml"),
-            "{}",
-            record.detail
-        );
-        assert!(record.repro.contains("--faults /no/such/plan.toml"));
     }
 
     #[test]
@@ -770,20 +639,19 @@ mod tests {
         // but before its journal record did: the run re-executes, finds its
         // own snapshots, resumes mid-flight, and must finish bit-identical.
         let root = snap_root("reexec");
-        let mut spec = tiny_spec(Fixture::None);
-        spec.instructions = 4_000;
-        spec.warmup = 2_000;
-        spec.checkpoint_every = 300;
-        spec.checkpoint_dir = Some(root.to_str().unwrap().to_string());
-        let (first, _) = execute_spec(&spec, false);
+        let job = tiny_job(&format!(
+            "instructions = 4000\nwarmup = 2000\n{}",
+            checkpointing(300, &root)
+        ));
+        let (first, _) = execute_job(&job, false);
         assert_eq!(first.status, RunStatus::Ok, "{}", first.detail);
         assert_eq!(first.resumed_from_cycle, 0, "first run starts at cycle 0");
-        let subdir = spec.checkpoint_subdir().unwrap();
+        let subdir = job.checkpoints.clone().unwrap();
         assert!(
             std::fs::read_dir(&subdir).unwrap().count() > 0,
             "checkpoints must have been written"
         );
-        let (second, _) = execute_spec(&spec, false);
+        let (second, _) = execute_job(&job, false);
         assert_eq!(second.status, RunStatus::Ok, "{}", second.detail);
         assert!(
             second.resumed_from_cycle > 0,
@@ -803,16 +671,19 @@ mod tests {
 
     #[test]
     fn failed_run_without_checkpoint_progress_is_not_retried() {
-        // The fault-plan file is missing, so the attempt fails before
-        // simulating anything: no checkpoint progress, no retry — the
-        // detail carries a single failure, not a retry trail.
+        // Zero instructions: the measured phase ends before its first
+        // memory cycle, so the attempt fails (`NoElapsedTime`) before
+        // simulating anything. No checkpoint progress, no retry: the detail
+        // carries a single failure, not a retry trail.
         let root = snap_root("noretry");
-        let mut spec = tiny_spec(Fixture::None);
-        spec.fault_plan = Some("/no/such/plan.toml".to_string());
-        spec.checkpoint_every = 300;
-        spec.checkpoint_dir = Some(root.to_str().unwrap().to_string());
-        let (record, _) = execute_spec(&spec, false);
+        let job = tiny_job(&format!("instructions = 0\n{}", checkpointing(300, &root)));
+        let (record, _) = execute_job(&job, false);
         assert_eq!(record.status, RunStatus::Failed);
+        assert!(
+            record.detail.contains("before one memory cycle"),
+            "{}",
+            record.detail
+        );
         assert!(
             !record.detail.contains("retry from checkpoint"),
             "{}",
@@ -828,10 +699,11 @@ mod tests {
         // one snapshot. The retry resumes from it, deterministically hangs
         // again, and the detail records both attempts.
         let root = snap_root("hungretry");
-        let mut spec = tiny_spec(Fixture::Hang);
-        spec.checkpoint_every = 10;
-        spec.checkpoint_dir = Some(root.to_str().unwrap().to_string());
-        let (record, _) = execute_spec(&spec, false);
+        let job = tiny_job(&format!(
+            "include_hang_fixture = true\n{}",
+            checkpointing(10, &root)
+        ));
+        let (record, _) = execute_job(&job, false);
         assert_eq!(record.status, RunStatus::Hung, "{}", record.detail);
         assert!(
             record.detail.contains("retry from checkpoint"),
@@ -852,9 +724,8 @@ mod tests {
         let journal = root.join("journal.jsonl");
         let matrix = format!(
             "schemes = [\"baseline\", \"pra\"]\nworkloads = [\"GUPS\"]\nseeds = [1]\n\
-             instructions = 4000\nwarmup = 2000\ncheckpoint_every = 300\n\
-             checkpoint_dir = \"{}\"\n",
-            root.join("snaps").display()
+             instructions = 4000\nwarmup = 2000\n{}",
+            checkpointing(300, &root.join("snaps"))
         );
         let campaign = Campaign::from_toml_str(&matrix).unwrap();
         let options = CampaignOptions {
@@ -894,7 +765,7 @@ mod tests {
         let rerun = reloaded
             .records
             .iter()
-            .find(|r| r.key() == dropped.key())
+            .find(|r| r.config_digest == dropped.config_digest)
             .unwrap();
         assert!(rerun.resumed_from_cycle > 0);
         assert_eq!(rerun.state_digest, dropped.state_digest);
@@ -905,9 +776,7 @@ mod tests {
     fn resume_rejects_a_journal_from_a_different_campaign() {
         let root = snap_root("alienresume");
         let journal = root.join("journal.jsonl");
-        let matrix_a = "schemes = [\"baseline\"]\nworkloads = [\"GUPS\"]\nseeds = [1]\n\
-                        instructions = 300\nwarmup = 1000\n";
-        let campaign_a = Campaign::from_toml_str(matrix_a).unwrap();
+        let campaign_a = Campaign::from_toml_str(TINY).unwrap();
         let options = CampaignOptions {
             jobs: 1,
             journal: journal.clone(),
@@ -916,8 +785,7 @@ mod tests {
         run_campaign(&campaign_a, &options).unwrap();
         // Same journal, different instruction count: every journaled digest
         // is now alien to the re-expanded matrix.
-        let matrix_b = matrix_a.replace("instructions = 300", "instructions = 500");
-        let campaign_b = Campaign::from_toml_str(&matrix_b).unwrap();
+        let campaign_b = Campaign::from_toml_str(&format!("{TINY}instructions = 500\n")).unwrap();
         let resume_options = CampaignOptions {
             jobs: 1,
             journal: journal.clone(),
@@ -933,15 +801,39 @@ mod tests {
     }
 
     #[test]
+    fn resume_rejects_a_journal_in_the_old_format() {
+        // A record as journaled before runs were keyed by the simulator's
+        // config digest, by this very matrix (with its default watchdog).
+        let root = snap_root("oldformat");
+        let journal = root.join("journal.jsonl");
+        std::fs::write(
+            &journal,
+            "{\"config\":\"48e923c465448227\",\"seed\":1,\"status\":\"ok\",\
+             \"scheme\":\"baseline\",\"workload\":\"GUPS\",\"cycles\":295,\
+             \"host_nanos\":1018249,\"energy_pj\":62346,\"avg_power_mw\":361,\
+             \"resumed_from_cycle\":0,\"state_digest\":\"81850763d3ee4f7c\",\
+             \"detail\":\"\",\"repro\":\"pra run --scheme baseline --workload GUPS\"}\n",
+        )
+        .unwrap();
+        let matrix = TINY.replace("watchdog_no_retire = 0\n", "");
+        let campaign = Campaign::from_toml_str(&matrix).unwrap();
+        let options = CampaignOptions {
+            jobs: 1,
+            journal: journal.clone(),
+            resume: true,
+        };
+        let e = run_campaign(&campaign, &options).unwrap_err();
+        assert!(e.to_string().contains("different campaign"), "{e}");
+        assert!(e.to_string().contains("journal format"), "{e}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn malformed_journal_lines_are_counted_in_campaign_metrics() {
         let root = snap_root("skiplines");
         let journal = root.join("journal.jsonl");
         std::fs::write(&journal, "this is not a journal line\n{\"torn\":\n").unwrap();
-        let campaign = Campaign::from_toml_str(
-            "schemes = [\"baseline\"]\nworkloads = [\"GUPS\"]\nseeds = [1]\n\
-             instructions = 300\nwarmup = 1000\n",
-        )
-        .unwrap();
+        let campaign = Campaign::from_toml_str(TINY).unwrap();
         let options = CampaignOptions {
             jobs: 1,
             journal: journal.clone(),
@@ -967,10 +859,7 @@ mod tests {
 
     #[test]
     fn resume_without_journal_is_an_error() {
-        let campaign = Campaign::from_toml_str(
-            "schemes = [\"baseline\"]\nworkloads = [\"GUPS\"]\nseeds = [1]\n",
-        )
-        .unwrap();
+        let campaign = Campaign::from_toml_str(TINY).unwrap();
         let options = CampaignOptions {
             jobs: 1,
             journal: std::env::temp_dir().join("sim_harness_no_such_journal.jsonl"),

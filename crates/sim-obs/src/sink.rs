@@ -11,6 +11,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::rc::Rc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::event::TraceEvent;
 
@@ -185,6 +186,27 @@ impl<S: TraceSink> TraceSink for Rc<RefCell<S>> {
 
     fn flush(&mut self) {
         self.borrow_mut().flush();
+    }
+}
+
+/// The same adapter for a sink shared with another thread's handle: a
+/// simulation builder that holds one stays [`Send`]. A poisoned lock still
+/// yields the sink.
+impl<S: TraceSink> TraceSink for Arc<Mutex<S>> {
+    fn emit(&mut self, event: &TraceEvent) {
+        self.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .emit(event);
+    }
+
+    fn enabled(&self) -> bool {
+        self.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .enabled()
+    }
+
+    fn flush(&mut self) {
+        self.lock().unwrap_or_else(PoisonError::into_inner).flush();
     }
 }
 

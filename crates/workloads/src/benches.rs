@@ -222,6 +222,16 @@ pub enum Workload {
 }
 
 impl Workload {
+    /// The paper's 14-workload evaluation set: the eight benchmarks, then
+    /// the six mixes.
+    pub fn suite() -> Vec<Workload> {
+        all_benchmarks()
+            .into_iter()
+            .map(Workload::Bench)
+            .chain(all_mixes().into_iter().map(|m| Workload::Mix(Box::new(m))))
+            .collect()
+    }
+
     /// The canonical name (`GUPS`, `MIX3`, ...).
     pub fn name(&self) -> &'static str {
         match self {
@@ -267,16 +277,16 @@ impl core::str::FromStr for Workload {
 /// four identical instances, plus the six mixes. Returns `(name, apps)`
 /// pairs with four profiles each.
 pub fn all_workloads() -> Vec<(String, [BenchProfile; 4])> {
-    let mut out: Vec<(String, [BenchProfile; 4])> = all_benchmarks()
+    Workload::suite()
         .into_iter()
-        .map(|b| (b.name.to_string(), [b, b, b, b]))
-        .collect();
-    out.extend(
-        all_mixes()
-            .into_iter()
-            .map(|m| (m.name.to_string(), m.apps)),
-    );
-    out
+        .map(|w| {
+            let apps = match &w {
+                Workload::Bench(b) => [*b; 4],
+                Workload::Mix(m) => m.apps,
+            };
+            (w.name().to_string(), apps)
+        })
+        .collect()
 }
 
 #[cfg(test)]

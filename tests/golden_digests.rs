@@ -110,7 +110,7 @@ fn state_digests_match_the_pinned_table() {
 /// the snapshot). Pinned so that the snapshot format, and with it the
 /// restorability of checkpoints written by earlier builds, cannot drift
 /// unnoticed.
-const GOLDEN_CHECKPOINT_BYTES: [u64; 2] = [0x990ce6fc2065028c, 0x976e5ab708fbbe1b];
+const GOLDEN_CHECKPOINT_BYTES: [u64; 2] = [0x5ec8cbee5c5da681, 0xb6f683744e6897e2];
 
 #[test]
 fn checkpoint_bytes_match_the_pinned_hash() {

@@ -11,10 +11,9 @@
 //! epoch snapshot lists every metric registered by then, so the last one
 //! of a run names them all.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use pra_repro::dram_sim::RecoveryConfig;
 use pra_repro::{FaultPlan, PagePolicy, Scheme, SimBuilder};
@@ -107,12 +106,12 @@ impl Produced {
     /// Runs `builder` with a fresh trace ring and records the metrics of
     /// its last epoch snapshot and every event kind the ring kept.
     fn run(&mut self, builder: SimBuilder) {
-        let ring = Rc::new(RefCell::new(RingSink::new(1 << 16)));
+        let ring = Arc::new(Mutex::new(RingSink::new(1 << 16)));
         let report = builder
-            .trace_ring(Rc::clone(&ring))
+            .trace_ring(Arc::clone(&ring))
             .try_run()
             .unwrap_or_else(|e| panic!("run failed: {e}"));
-        let ring = ring.borrow();
+        let ring = ring.lock().expect("the run released the ring");
         assert_eq!(ring.dropped(), 0, "the ring must keep every event");
         for event in ring.events() {
             self.add(event.kind(), "trace-event");
