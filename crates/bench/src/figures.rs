@@ -7,6 +7,7 @@ use dram_power::PowerBreakdown;
 use dram_sim::{PagePolicy, TimingParams};
 use pra_core::experiments::{self, mean_by_scheme, ComparisonRow};
 use pra_core::timing_diagram::{read_timeline, render, write_latencies, write_timeline};
+use pra_core::SimBuilder;
 
 use crate::chart::{BarChart, BarGroup, LineChart};
 use crate::{pct, rule, ExperimentConfig, Rendered, ReportStore};
@@ -332,6 +333,18 @@ pub fn fig09(_: &mut ReportStore, _: &ExperimentConfig) -> Rendered {
             .collect(),
     };
     Ok(vec![("fig09.txt", out), ("fig09.svg", chart.to_svg())])
+}
+
+/// The runs of [`fig10`].
+pub fn fig10_runs(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
+    experiments::pra_builders(cfg, PagePolicy::RelaxedClosePage)
+}
+
+/// The runs of [`fig11`]: PRA under both close-page policies.
+pub fn fig11_runs(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
+    let mut runs = experiments::pra_builders(cfg, PagePolicy::RestrictedClosePage);
+    runs.extend(experiments::pra_builders(cfg, PagePolicy::RelaxedClosePage));
+    runs
 }
 
 /// **Figure 10**: PRA's impact on row-buffer read, write and total hit

@@ -20,24 +20,41 @@ fn base_and_pra(store: &mut ReportStore, builder: SimBuilder) -> (Report, Report
     (base, pra)
 }
 
-/// Ablation study of PRA's design choices (the knobs DESIGN.md calls out):
-///
-/// * **no-relax** — partial activations still count as full activations
-///   against tRRD/tFAW (isolates the timing-relaxation benefit of
-///   Section 4.1.3).
-/// * **no-extra-cycle** — the PRA mask is delivered for free instead of
-///   costing one cycle of activate-to-column delay (upper-bounds the cost
-///   of the address-bus mask transfer of Fig. 7a).
-/// * **act-only** — partial activation without write-I/O scaling (isolates
-///   how much of PRA's saving comes from activation power versus from
-///   transferring only dirty words).
-/// * **half-floor** — activations never narrower than half a row (what PRA
-///   would save if, like an extended Half-DRAM, the minimum granularity
-///   were coarser).
-///
-/// Run over a write-intensive homogeneous workload (GUPS x4).
-pub fn ablation(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rendered {
-    let mut out = String::new();
+/// The runs [`base_and_pra`] reads for each of `builders`.
+fn base_and_pra_runs(builders: impl IntoIterator<Item = SimBuilder>) -> Vec<SimBuilder> {
+    builders
+        .into_iter()
+        .flat_map(|b| [b.clone().scheme(Scheme::Baseline), b.scheme(Scheme::Pra)])
+        .collect()
+}
+
+/// The runs of [`ablation`].
+pub fn ablation_runs(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
+    ablation_variants(cfg).into_iter().map(|(_, b)| b).collect()
+}
+
+/// The runs of [`policy_study`].
+pub fn policy_study_runs(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
+    base_and_pra_runs(policy_study_points(cfg).into_iter().map(|(.., b)| b))
+}
+
+/// The runs of [`sweep_dirty`].
+pub fn sweep_dirty_runs(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
+    base_and_pra_runs(sweep_dirty_points(cfg).into_iter().map(|(_, b)| b))
+}
+
+/// The runs of [`sweep_footprint`].
+pub fn sweep_footprint_runs(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
+    base_and_pra_runs(sweep_footprint_points(cfg).into_iter().map(|(_, b)| b))
+}
+
+/// The runs of [`ddr4_outlook`].
+pub fn ddr4_outlook_runs(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
+    base_and_pra_runs(ddr4_outlook_points(cfg).into_iter().map(|(.., b)| b))
+}
+
+/// GUPS x4 under each [`ablation`] variant, labelled, the baseline first.
+fn ablation_variants(cfg: &ExperimentConfig) -> Vec<(&'static str, SimBuilder)> {
     let pra = SchemeBehavior::pra();
     let variants = [
         ("baseline", SchemeBehavior::baseline()),
@@ -81,17 +98,39 @@ pub fn ablation(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rendered {
         .homogeneous(workloads::gups(), 4)
         .name("GUPS")
         .scheme(Scheme::Pra);
-    let base_power = store
-        .report(&gups.clone().scheme_behavior_override(variants[0].1))
-        .power
-        .total();
+    variants
+        .into_iter()
+        .map(|(label, behavior)| (label, gups.clone().scheme_behavior_override(behavior)))
+        .collect()
+}
+
+/// Ablation study of PRA's design choices (the knobs DESIGN.md calls out):
+///
+/// * **no-relax** — partial activations still count as full activations
+///   against tRRD/tFAW (isolates the timing-relaxation benefit of
+///   Section 4.1.3).
+/// * **no-extra-cycle** — the PRA mask is delivered for free instead of
+///   costing one cycle of activate-to-column delay (upper-bounds the cost
+///   of the address-bus mask transfer of Fig. 7a).
+/// * **act-only** — partial activation without write-I/O scaling (isolates
+///   how much of PRA's saving comes from activation power versus from
+///   transferring only dirty words).
+/// * **half-floor** — activations never narrower than half a row (what PRA
+///   would save if, like an extended Half-DRAM, the minimum granularity
+///   were coarser).
+///
+/// Run over a write-intensive homogeneous workload (GUPS x4).
+pub fn ablation(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rendered {
+    let mut out = String::new();
+    let variants = ablation_variants(cfg);
+    let base_power = store.report(&variants[0].1).power.total();
     writeln!(
         out,
         "{:<20} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "variant", "act mW", "wr-io mW", "total mW", "vs base", "IPC sum"
     )?;
-    for (label, behavior) in variants {
-        let r = store.report(&gups.clone().scheme_behavior_override(behavior));
+    for (label, builder) in variants {
+        let r = store.report(&builder);
         writeln!(
             out,
             "{label:<20} {:>10.1} {:>10.1} {:>10.1} {:>9.1}% {:>10.2}",
@@ -122,6 +161,33 @@ pub fn policy_study(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rendered
         "{:<12} {:<12} {:>9} {:>9} {:>8} {:>9} {:>10}",
         "workload", "policy", "base mW", "PRA mW", "saving", "falsehit", "PRA IPC"
     )?;
+    for (name, label, builder) in policy_study_points(cfg) {
+        let (base, pra) = base_and_pra(store, builder);
+        writeln!(
+            out,
+            "{:<12} {:<12} {:>9.1} {:>9.1} {:>7.1}% {:>9} {:>10.2}",
+            name,
+            label,
+            base.power.total(),
+            pra.power.total(),
+            saving(&base, &pra),
+            pra.dram.read.false_hits + pra.dram.write.false_hits,
+            pra.ipc_sum(),
+        )?;
+    }
+    writeln!(
+        out,
+        "\nopen-page keeps partial rows open longest, so PRA's false row-buffer \
+         hits concentrate there; restricted close-page maximises activations \
+         and thus PRA's relative activation saving (the paper's Fig. 14 \
+         setting)."
+    )?;
+    Ok(vec![("policy_study.txt", out)])
+}
+
+/// libquantum and GUPS x4 under each page policy, with the policy's label.
+fn policy_study_points(cfg: &ExperimentConfig) -> Vec<(&'static str, &'static str, SimBuilder)> {
+    let mut points = Vec::new();
     for profile in [workloads::libquantum(), workloads::gups()] {
         for (label, policy) in [
             ("relaxed", PagePolicy::RelaxedClosePage),
@@ -133,28 +199,10 @@ pub fn policy_study(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rendered
                 .homogeneous(profile, 4)
                 .name(profile.name)
                 .policy(policy);
-            let (base, pra) = base_and_pra(store, builder);
-            writeln!(
-                out,
-                "{:<12} {:<12} {:>9.1} {:>9.1} {:>7.1}% {:>9} {:>10.2}",
-                profile.name,
-                label,
-                base.power.total(),
-                pra.power.total(),
-                saving(&base, &pra),
-                pra.dram.read.false_hits + pra.dram.write.false_hits,
-                pra.ipc_sum(),
-            )?;
+            points.push((profile.name, label, builder));
         }
     }
-    writeln!(
-        out,
-        "\nopen-page keeps partial rows open longest, so PRA's false row-buffer \
-         hits concentrate there; restricted close-page maximises activations \
-         and thus PRA's relative activation saving (the paper's Fig. 14 \
-         setting)."
-    )?;
-    Ok(vec![("policy_study.txt", out)])
+    points
 }
 
 /// The Section 3 related-work comparison: PRA's intra-chip coverage versus
@@ -269,13 +317,7 @@ pub fn sweep_dirty(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rendered 
         "{:>12} {:>14} {:>14} {:>14}",
         "P(1 word)", "base total mW", "PRA total mW", "PRA saving"
     )?;
-    for p in [0.0, 0.25, 0.5, 0.75, 0.9, 1.0] {
-        let profile = sweep_profile(
-            0.47,
-            128 * 1024 * 1024 / 64,
-            [p, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0 - p],
-        );
-        let builder = cfg.builder().homogeneous(profile, 4).name("sweep");
+    for (p, builder) in sweep_dirty_points(cfg) {
         let (base, pra) = base_and_pra(store, builder);
         writeln!(
             out,
@@ -294,6 +336,21 @@ pub fn sweep_dirty(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rendered 
     Ok(vec![("sweep_dirty.txt", out)])
 }
 
+/// The [`sweep_dirty`] workload at each single-word probability.
+fn sweep_dirty_points(cfg: &ExperimentConfig) -> Vec<(f64, SimBuilder)> {
+    [0.0, 0.25, 0.5, 0.75, 0.9, 1.0]
+        .into_iter()
+        .map(|p| {
+            let profile = sweep_profile(
+                0.47,
+                128 * 1024 * 1024 / 64,
+                [p, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0 - p],
+            );
+            (p, cfg.builder().homogeneous(profile, 4).name("sweep"))
+        })
+        .collect()
+}
+
 /// Sensitivity sweep: PRA's saving versus working-set size. Cache-resident
 /// footprints generate no DRAM traffic, so there is nothing to save; the
 /// benefit grows as the footprint spills out of the 4 MB LLC.
@@ -304,13 +361,7 @@ pub fn sweep_footprint(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rende
         "{:>12} {:>12} {:>14} {:>14} {:>10}",
         "footprint", "DRAM reads", "base total mW", "PRA total mW", "saving"
     )?;
-    for footprint_kb in [256u64, 1024, 4096, 32 * 1024, 256 * 1024] {
-        let profile = sweep_profile(
-            0.45,
-            footprint_kb * 1024 / 64,
-            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        );
-        let builder = cfg.builder().homogeneous(profile, 4).name("sweep");
+    for (footprint_kb, builder) in sweep_footprint_points(cfg) {
         let (base, pra) = base_and_pra(store, builder);
         writeln!(
             out,
@@ -331,6 +382,22 @@ pub fn sweep_footprint(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rende
     Ok(vec![("sweep_footprint.txt", out)])
 }
 
+/// The [`sweep_footprint`] workload at each footprint, in KB.
+fn sweep_footprint_points(cfg: &ExperimentConfig) -> Vec<(u64, SimBuilder)> {
+    [256u64, 1024, 4096, 32 * 1024, 256 * 1024]
+        .into_iter()
+        .map(|footprint_kb| {
+            let profile = sweep_profile(
+                0.45,
+                footprint_kb * 1024 / 64,
+                [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            );
+            let builder = cfg.builder().homogeneous(profile, 4).name("sweep");
+            (footprint_kb, builder)
+        })
+        .collect()
+}
+
 /// Does PRA's saving carry over from the paper's DDR3-1600 baseline to a
 /// DDR4-2400 system? The paper argues the row-overfetching problem *grows*
 /// with newer, larger devices; this quantifies that on the estimated DDR4
@@ -343,6 +410,30 @@ pub fn ddr4_outlook(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rendered
         "{:<12} {:<6} {:>10} {:>10} {:>10} {:>9}",
         "workload", "gen", "base mW", "PRA mW", "saving", "IPC ratio"
     )?;
+    for (name, label, builder) in ddr4_outlook_points(cfg) {
+        let (base, pra) = base_and_pra(store, builder);
+        writeln!(
+            out,
+            "{:<12} {:<6} {:>10.1} {:>10.1} {:>9.1}% {:>9.3}",
+            name,
+            label,
+            base.power.total(),
+            pra.power.total(),
+            saving(&base, &pra),
+            pra.ipc_sum() / base.ipc_sum(),
+        )?;
+    }
+    writeln!(
+        out,
+        "\nthe asymmetric mechanism is generation-agnostic: whatever the device, \
+         writes with few dirty words activate few MAT groups."
+    )?;
+    Ok(vec![("ddr4_outlook.txt", out)])
+}
+
+/// GUPS, lbm and mcf x4 on each DRAM generation, with its label.
+fn ddr4_outlook_points(cfg: &ExperimentConfig) -> Vec<(&'static str, &'static str, SimBuilder)> {
+    let mut points = Vec::new();
     for profile in [workloads::gups(), workloads::lbm(), workloads::mcf()] {
         for (label, generation) in [
             ("DDR3", DramGeneration::Ddr3),
@@ -353,23 +444,8 @@ pub fn ddr4_outlook(store: &mut ReportStore, cfg: &ExperimentConfig) -> Rendered
                 .homogeneous(profile, 4)
                 .name(profile.name)
                 .dram_generation(generation);
-            let (base, pra) = base_and_pra(store, builder);
-            writeln!(
-                out,
-                "{:<12} {:<6} {:>10.1} {:>10.1} {:>9.1}% {:>9.3}",
-                profile.name,
-                label,
-                base.power.total(),
-                pra.power.total(),
-                saving(&base, &pra),
-                pra.ipc_sum() / base.ipc_sum(),
-            )?;
+            points.push((profile.name, label, builder));
         }
     }
-    writeln!(
-        out,
-        "\nthe asymmetric mechanism is generation-agnostic: whatever the device, \
-         writes with few dirty words activate few MAT groups."
-    )?;
-    Ok(vec![("ddr4_outlook.txt", out)])
+    points
 }

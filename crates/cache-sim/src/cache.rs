@@ -63,7 +63,39 @@ impl CacheConfig {
             "set count {sets} must be a power of two"
         );
     }
+
+    /// One past the highest byte address the cache can hold. A slot stores
+    /// its line's tag (the line number above the set-index bits) as a
+    /// `u32`, so the limit is 2^32 times the bytes one way spans: 2^45 for
+    /// the paper's L1, 2^51 for its L2. Addresses at or past it must be
+    /// rejected where they enter a simulation (see
+    /// [`HierarchyConfig::check_addr_span`](crate::HierarchyConfig::check_addr_span)).
+    pub fn addr_limit(&self) -> u64 {
+        (self.sets() as u64 * LINE_BYTES).saturating_mul(1 << 32)
+    }
 }
+
+/// An address span past the limit of a cache's `u32` tags (see
+/// [`CacheConfig::addr_limit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AddrSpanError {
+    /// The rejected span: one past the highest byte address.
+    pub span: u64,
+    /// The largest span the caches accept.
+    pub limit: u64,
+}
+
+impl std::fmt::Display for AddrSpanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "addresses span {} bytes, past the {}-byte limit of the cache tags",
+            self.span, self.limit
+        )
+    }
+}
+
+impl std::error::Error for AddrSpanError {}
 
 /// One resident line's metadata (the simulator tracks no data payloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,10 +122,17 @@ pub struct Evicted {
 /// dirty bits per line that PRA's cache support adds (Section 4.1.4).
 ///
 /// Storage is flat: way `w` of set `s` lives at slot `s * ways + w` of the
-/// line, LRU-stamp and dirty arrays, and a set's resident lines occupy its
+/// tag, LRU-stamp and dirty arrays, and a set's resident lines occupy its
 /// first `filled[s]` slots. Removing a line moves the set's last line into
 /// the hole, so the per-set order — and with it victims, iteration order
 /// and snapshot bytes — follows the access stream exactly.
+///
+/// A slot is 9 bytes: a `u32` tag (the line number without its set-index
+/// bits, so addresses must stay below [`CacheConfig::addr_limit`]), a
+/// `u32` LRU stamp and the dirty mask. Before the stamp clock would wrap,
+/// every set's stamps are renumbered in recency order; victims only
+/// compare stamps within a set, so they stay the ones an unbounded clock
+/// picks.
 ///
 /// # Example
 ///
@@ -108,19 +147,53 @@ pub struct Evicted {
 /// c.mark_dirty(a, WordMask::single(2));
 /// assert_eq!(c.dirty_mask(a), Some(WordMask::single(2)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
     /// `sets - 1`: the set index is the line number's low bits.
     set_mask: u64,
-    lines: Vec<u64>,
-    stamps: Vec<u64>,
+    /// `log2(sets)`: a tag is the line number shifted right by this.
+    set_bits: u32,
+    tags: Vec<u32>,
+    stamps: Vec<u32>,
     dirty: Vec<WordMask>,
     /// Resident lines per set.
     filled: Vec<u8>,
-    clock: u64,
+    clock: u32,
     hits: u64,
     misses: u64,
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        Cache {
+            config: self.config,
+            set_mask: self.set_mask,
+            set_bits: self.set_bits,
+            tags: self.tags.clone(),
+            stamps: self.stamps.clone(),
+            dirty: self.dirty.clone(),
+            filled: self.filled.clone(),
+            clock: self.clock,
+            hits: self.hits,
+            misses: self.misses,
+        }
+    }
+
+    /// Copies `source` into this cache's buffers, allocating only when the
+    /// shapes differ.
+    fn clone_from(&mut self, source: &Self) {
+        self.config = source.config;
+        self.set_mask = source.set_mask;
+        self.set_bits = source.set_bits;
+        self.tags.clone_from(&source.tags);
+        self.stamps.clone_from(&source.stamps);
+        self.dirty.clone_from(&source.dirty);
+        self.filled.clone_from(&source.filled);
+        self.clock = source.clock;
+        self.hits = source.hits;
+        self.misses = source.misses;
+    }
 }
 
 impl Cache {
@@ -135,7 +208,8 @@ impl Cache {
         let (sets, slots) = (config.sets(), config.sets() * config.ways);
         Cache {
             set_mask: sets as u64 - 1,
-            lines: vec![0; slots],
+            set_bits: sets.trailing_zeros(),
+            tags: vec![0; slots],
             stamps: vec![0; slots],
             dirty: vec![WordMask::EMPTY; slots],
             filled: vec![0; sets],
@@ -155,6 +229,46 @@ impl Cache {
         (line & self.set_mask) as usize
     }
 
+    /// `line`'s tag. Callers keep addresses below
+    /// [`CacheConfig::addr_limit`], so it fits.
+    fn tag(&self, line: u64) -> u32 {
+        debug_assert!(
+            line >> self.set_bits <= u64::from(u32::MAX),
+            "line {line:#x} is past the cache's address limit"
+        );
+        (line >> self.set_bits) as u32
+    }
+
+    /// The line number held in `slot` of `set`.
+    fn line_at(&self, set: usize, slot: usize) -> u64 {
+        u64::from(self.tags[slot]) << self.set_bits | set as u64
+    }
+
+    /// Advances the LRU clock and returns the new stamp, renumbering every
+    /// set first when the clock would wrap.
+    fn tick(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            self.renumber();
+        }
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Replaces each set's stamps by their recency ranks and restarts the
+    /// clock above every rank. A set keeps its order, so it keeps its
+    /// victims.
+    fn renumber(&mut self) {
+        let mut stamps = Vec::with_capacity(self.config.ways);
+        for set in 0..self.filled.len() {
+            let slots = self.slots(set);
+            stamps.clear();
+            stamps.extend_from_slice(&self.stamps[slots.clone()]);
+            rank_stamps(&stamps, &mut self.stamps[slots]);
+        }
+        // `ways <= u8::MAX` (`assert_valid`).
+        self.clock = self.config.ways as u32;
+    }
+
     /// The slots of `set`'s resident lines.
     fn slots(&self, set: usize) -> std::ops::Range<usize> {
         let base = set * self.config.ways;
@@ -164,10 +278,10 @@ impl Cache {
     /// The slot holding `line`, if resident.
     fn find(&self, line: u64) -> Option<usize> {
         let slots = self.slots(self.set_index(line));
-        let base = slots.start;
-        self.lines[slots]
+        let (base, tag) = (slots.start, self.tag(line));
+        self.tags[slots]
             .iter()
-            .position(|&l| l == line)
+            .position(|&t| t == tag)
             .map(|w| base + w)
     }
 
@@ -175,12 +289,12 @@ impl Cache {
     /// the hole.
     fn remove(&mut self, set: usize, slot: usize) -> Evicted {
         let evicted = Evicted {
-            addr: PhysAddr::from_line_number(self.lines[slot]),
+            addr: PhysAddr::from_line_number(self.line_at(set, slot)),
             dirty: self.dirty[slot],
         };
         self.filled[set] -= 1;
         let last = self.slots(set).end;
-        self.lines[slot] = self.lines[last];
+        self.tags[slot] = self.tags[last];
         self.stamps[slot] = self.stamps[last];
         self.dirty[slot] = self.dirty[last];
         evicted
@@ -195,9 +309,9 @@ impl Cache {
     /// Looks the line up as a demand access: updates LRU and hit/miss
     /// counters, returns `true` on hit.
     pub fn access(&mut self, addr: PhysAddr) -> bool {
-        self.clock += 1;
+        let stamp = self.tick();
         if let Some(slot) = self.find(addr.line_number()) {
-            self.stamps[slot] = self.clock;
+            self.stamps[slot] = stamp;
             self.hits += 1;
             true
         } else {
@@ -212,8 +326,7 @@ impl Cache {
     pub fn fill(&mut self, addr: PhysAddr) -> Option<Evicted> {
         match self.find(addr.line_number()) {
             Some(slot) => {
-                self.clock += 1;
-                self.stamps[slot] = self.clock;
+                self.stamps[slot] = self.tick();
                 None
             }
             None => self.fill_absent(addr),
@@ -225,7 +338,7 @@ impl Cache {
     pub fn fill_absent(&mut self, addr: PhysAddr) -> Option<Evicted> {
         let line = addr.line_number();
         debug_assert!(self.find(line).is_none(), "fill_absent of a resident line");
-        self.clock += 1;
+        let stamp = self.tick();
         let set = self.set_index(line);
         let slots = self.slots(set);
         let victim = if slots.len() == self.config.ways {
@@ -242,8 +355,8 @@ impl Cache {
             None
         };
         let slot = self.slots(set).end;
-        self.lines[slot] = line;
-        self.stamps[slot] = self.clock;
+        self.tags[slot] = self.tag(line);
+        self.stamps[slot] = stamp;
         self.dirty[slot] = WordMask::EMPTY;
         self.filled[set] += 1;
         victim
@@ -288,17 +401,12 @@ impl Cache {
 
     /// Resident lines, set by set, each set in its storage order.
     pub fn iter_lines(&self) -> impl Iterator<Item = LineMeta> + '_ {
-        self.set_slots().flat_map(move |slots| {
-            slots.map(move |slot| LineMeta {
-                line: self.lines[slot],
+        (0..self.filled.len()).flat_map(move |set| {
+            self.slots(set).map(move |slot| LineMeta {
+                line: self.line_at(set, slot),
                 dirty: self.dirty[slot],
             })
         })
-    }
-
-    /// Each set's resident slots, in set order.
-    fn set_slots(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        (0..self.filled.len()).map(|set| self.slots(set))
     }
 
     /// Number of resident lines.
@@ -318,16 +426,20 @@ impl sim_snap::SnapState for Cache {
         // Per-set order is load-bearing: `fill`/`invalidate` move a set's
         // last line into the hole, so a restored cache must replay the
         // exact layout, not just the resident-line set.
+        // Tags, stamps and the clock are written as the `u64` line numbers
+        // and stamps of an unbounded clock, so the bytes do not depend on
+        // the packed layout.
         w.seq(self.filled.len());
-        for slots in self.set_slots() {
+        for set in 0..self.filled.len() {
+            let slots = self.slots(set);
             w.seq(slots.len());
             for slot in slots {
-                w.u64(self.lines[slot]);
+                w.u64(self.line_at(set, slot));
                 w.u8(self.dirty[slot].bits());
-                w.u64(self.stamps[slot]);
+                w.u64(u64::from(self.stamps[slot]));
             }
         }
-        w.u64(self.clock);
+        w.u64(u64::from(self.clock));
         w.u64(self.hits);
         w.u64(self.misses);
     }
@@ -342,6 +454,8 @@ impl sim_snap::SnapState for Cache {
             )));
         }
         let ways = self.config.ways;
+        let mut wide = Vec::with_capacity(ways);
+        let mut renumber = false;
         for set in 0..sets {
             let n = r.seq()?;
             if n > ways {
@@ -351,16 +465,52 @@ impl sim_snap::SnapState for Cache {
             }
             // `n <= ways`, which `assert_valid` bounds by `u8::MAX`.
             self.filled[set] = n as u8;
+            wide.clear();
             for slot in self.slots(set) {
-                self.lines[slot] = r.u64()?;
+                let line = r.u64()?;
+                if line & self.set_mask != set as u64 || line >> self.set_bits > u64::from(u32::MAX)
+                {
+                    return Err(sim_snap::SnapError::Decode(format!(
+                        "cache line {line:#x} cannot sit in set {set} of this cache"
+                    )));
+                }
+                self.tags[slot] = (line >> self.set_bits) as u32;
                 self.dirty[slot] = WordMask::from_bits(r.u8()?);
-                self.stamps[slot] = r.u64()?;
+                wide.push(r.u64()?);
+            }
+            let slots = self.slots(set);
+            if wide.iter().any(|&stamp| stamp > u64::from(u32::MAX)) {
+                rank_stamps(&wide, &mut self.stamps[slots]);
+                renumber = true;
+            } else {
+                for (narrow, &stamp) in self.stamps[slots].iter_mut().zip(&wide) {
+                    *narrow = stamp as u32;
+                }
             }
         }
-        self.clock = r.u64()?;
+        let clock = r.u64()?;
+        // Stamps or a clock past `u32::MAX` renumber as a wrap would.
+        match u32::try_from(clock) {
+            Ok(clock) if !renumber => self.clock = clock,
+            _ => self.renumber(),
+        }
         self.hits = r.u64()?;
         self.misses = r.u64()?;
         Ok(())
+    }
+}
+
+/// Writes each stamp's recency rank into `ranks`, 1 for the least recent;
+/// equal stamps rank in slot order, as the victim scan's first minimum
+/// picks them.
+fn rank_stamps<T: Copy + Ord>(stamps: &[T], ranks: &mut [u32]) {
+    for (i, (rank, &stamp)) in ranks.iter_mut().zip(stamps).enumerate() {
+        let earlier = stamps
+            .iter()
+            .enumerate()
+            .filter(|&(j, &other)| (other, j) < (stamp, i))
+            .count();
+        *rank = earlier as u32 + 1;
     }
 }
 
@@ -589,6 +739,187 @@ mod tests {
             layout_fingerprint(CacheConfig::paper_l2(), 300_000, 200_000),
             (3_476_571_043_139_373_648, 8_455_390_661_629_429_126)
         );
+    }
+
+    /// The cache as per-set lists with `u64` stamps from an unbounded
+    /// clock: the model the packed layout must match victim for victim.
+    struct Reference {
+        /// Per set: `(line, stamp, dirty bits)`, in no particular order.
+        sets: Vec<Vec<(u64, u64, u8)>>,
+        clock: u64,
+        ways: usize,
+    }
+
+    impl Reference {
+        /// A model of `cache`'s contents with every stamp and the clock
+        /// raised by `offset`.
+        fn of(cache: &Cache, offset: u64) -> Self {
+            let mut sets = vec![Vec::new(); cache.filled.len()];
+            for (set, lines) in sets.iter_mut().enumerate() {
+                for slot in cache.slots(set) {
+                    let stamp = u64::from(cache.stamps[slot]) + offset;
+                    lines.push((cache.line_at(set, slot), stamp, cache.dirty[slot].bits()));
+                }
+            }
+            Reference {
+                sets,
+                clock: u64::from(cache.clock) + offset,
+                ways: cache.config.ways,
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut Vec<(u64, u64, u8)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line % n) as usize]
+        }
+
+        fn access(&mut self, line: u64) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            let entry = self.set(line).iter_mut().find(|e| e.0 == line);
+            entry.map(|e| e.1 = clock).is_some()
+        }
+
+        fn fill(&mut self, line: u64) -> Option<(u64, u8)> {
+            self.clock += 1;
+            let (clock, ways) = (self.clock, self.ways);
+            let set = self.set(line);
+            if let Some(e) = set.iter_mut().find(|e| e.0 == line) {
+                e.1 = clock;
+                return None;
+            }
+            let victim = (set.len() == ways).then(|| {
+                let lru = (0..set.len()).min_by_key(|&i| set[i].1).unwrap();
+                let (line, _, dirty) = set.swap_remove(lru);
+                (line, dirty)
+            });
+            set.push((line, clock, 0));
+            victim
+        }
+
+        fn mark_dirty(&mut self, line: u64, mask: u8) -> bool {
+            let entry = self.set(line).iter_mut().find(|e| e.0 == line);
+            entry.map(|e| e.2 |= mask).is_some()
+        }
+
+        fn invalidate(&mut self, line: u64) -> Option<u8> {
+            let set = self.set(line);
+            let i = set.iter().position(|e| e.0 == line)?;
+            Some(set.swap_remove(i).2)
+        }
+    }
+
+    /// Plays `ops` seeded random accesses, fills, dirtyings and
+    /// invalidations through both, asserting identical outcomes.
+    fn play_against_reference(c: &mut Cache, model: &mut Reference, seed: u64, ops: u64) {
+        let mut rng = mem_model::rng::Rng::seed_from_u64(seed);
+        for n in 0..ops {
+            let line = rng.bounded_u64(48);
+            let a = PhysAddr::from_line_number(line);
+            match rng.bounded_u64(8) {
+                0..=2 => {
+                    let victim = c.fill(a).map(|v| (v.addr.line_number(), v.dirty.bits()));
+                    assert_eq!(victim, model.fill(line), "fill #{n} of line {line}");
+                }
+                3 | 4 => assert_eq!(c.access(a), model.access(line), "access #{n}"),
+                5 => {
+                    let mask = WordMask::single(rng.bounded_u64(8) as u8);
+                    assert_eq!(c.mark_dirty(a, mask), model.mark_dirty(line, mask.bits()));
+                }
+                _ => assert_eq!(
+                    c.invalidate(a).map(|v| v.dirty.bits()),
+                    model.invalidate(line),
+                    "invalidate #{n}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn the_stamp_clock_wraps_without_changing_a_victim() {
+        // 4 sets x 4 ways over 48 lines: every set overflows constantly.
+        let config = CacheConfig {
+            size_bytes: 1024,
+            ways: 4,
+            latency_cycles: 1,
+        };
+        let mut c = Cache::new(config);
+        c.clock = u32::MAX - 3_000;
+        let mut model = Reference::of(&c, 0);
+        play_against_reference(&mut c, &mut model, 7, 20_000);
+        assert!(c.clock < 20_000, "the clock wrapped and was renumbered");
+
+        // A snapshot whose stamps and clock lie past `u32::MAX` (as one
+        // taken after 2^32 accesses would) loads renumbered, keeping the
+        // victims of the `u64` clock.
+        use sim_snap::SnapState;
+        let offset = 1 << 33;
+        let mut w = sim_snap::SnapWriter::new();
+        w.section("cache");
+        w.seq(c.filled.len());
+        for set in 0..c.filled.len() {
+            w.seq(c.slots(set).len());
+            for slot in c.slots(set) {
+                w.u64(c.line_at(set, slot));
+                w.u8(c.dirty[slot].bits());
+                w.u64(u64::from(c.stamps[slot]) + offset);
+            }
+        }
+        w.u64(u64::from(c.clock) + offset);
+        w.u64(0);
+        w.u64(0);
+        let bytes = w.into_bytes();
+        let mut loaded = Cache::new(config);
+        let mut r = sim_snap::SnapReader::new(&bytes);
+        loaded.snap_load(&mut r).unwrap();
+        r.finish().unwrap();
+        assert!(loaded.clock <= 4, "loading renumbered every set");
+        let mut model = Reference::of(&c, offset);
+        play_against_reference(&mut loaded, &mut model, 8, 20_000);
+    }
+
+    #[test]
+    fn a_snapshot_reloads_to_the_same_bytes() {
+        use sim_snap::SnapState;
+        let mut c = Cache::new(CacheConfig::paper_l1());
+        let mut rng = mem_model::rng::Rng::seed_from_u64(3);
+        for _ in 0..20_000 {
+            let a = PhysAddr::from_line_number(rng.bounded_u64(4_000) << 20);
+            if c.fill(a).is_none() && rng.bounded_u64(2) == 0 {
+                c.mark_dirty(a, WordMask::single(rng.bounded_u64(8) as u8));
+            }
+            c.access(PhysAddr::from_line_number(rng.bounded_u64(4_000) << 20));
+        }
+        let save = |c: &Cache| {
+            let mut w = sim_snap::SnapWriter::new();
+            c.snap_save(&mut w);
+            w.into_bytes()
+        };
+        let bytes = save(&c);
+        let mut restored = Cache::new(CacheConfig::paper_l1());
+        let mut r = sim_snap::SnapReader::new(&bytes);
+        restored.snap_load(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(save(&restored), bytes);
+    }
+
+    #[test]
+    fn tags_cover_the_address_limit_exactly() {
+        use crate::HierarchyConfig;
+        let config = HierarchyConfig::paper(4);
+        assert_eq!(CacheConfig::paper_l1().addr_limit(), 1 << 45);
+        assert_eq!(CacheConfig::paper_l2().addr_limit(), 1 << 51);
+        assert_eq!(config.check_addr_span(1 << 45), Ok(()));
+        let e = config.check_addr_span((1 << 45) + 1).unwrap_err();
+        assert_eq!((e.span, e.limit), ((1 << 45) + 1, 1 << 45));
+        assert!(e.to_string().contains("limit of the cache tags"), "{e}");
+        // The highest line below the limit keeps its full line number.
+        let mut c = Cache::new(CacheConfig::paper_l1());
+        let top = PhysAddr::new((1 << 45) - LINE_BYTES);
+        let low = PhysAddr::new(top.raw() & ((1 << 32) - 1));
+        c.fill(top);
+        assert!(c.contains(top) && !c.contains(low));
+        assert_eq!(c.iter_lines().next().unwrap().line, top.line_number());
     }
 
     #[test]

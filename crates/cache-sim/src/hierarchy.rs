@@ -4,7 +4,7 @@ use mem_model::{AddressMapping, DramGeometry, PhysAddr, WordMask, WORDS_PER_LINE
 use sim_fault::{FaultCounts, FaultInjector};
 use sim_obs::{SinkHandle, TraceEvent, TraceSink};
 
-use crate::cache::{Cache, CacheConfig, Evicted};
+use crate::cache::{AddrSpanError, Cache, CacheConfig, Evicted};
 use crate::dbi::Dbi;
 
 /// Shape of the hierarchy: per-core L1s over a shared L2.
@@ -42,6 +42,21 @@ impl HierarchyConfig {
             dbi: true,
             ..Self::paper(cores)
         }
+    }
+
+    /// Checks that addresses below `span` (one past the highest byte
+    /// address a simulation uses) fit every cache's tags.
+    ///
+    /// # Errors
+    ///
+    /// [`AddrSpanError`] when `span` exceeds the smaller of the L1's and
+    /// the L2's [`CacheConfig::addr_limit`].
+    pub fn check_addr_span(&self, span: u64) -> Result<(), AddrSpanError> {
+        let limit = self.l1.addr_limit().min(self.l2.addr_limit());
+        if span > limit {
+            return Err(AddrSpanError { span, limit });
+        }
+        Ok(())
     }
 }
 
@@ -253,6 +268,21 @@ impl CacheHierarchy {
             now: self.now,
             faults: self.faults.clone(),
         }
+    }
+
+    /// [`fork`](Self::fork) into `into`, reusing its buffers where the
+    /// shapes match.
+    pub fn fork_into(&self, into: &mut CacheHierarchy) {
+        into.config = self.config;
+        into.l1s.clone_from(&self.l1s);
+        into.l2.clone_from(&self.l2);
+        into.dbi.clone_from(&self.dbi);
+        into.geometry = self.geometry;
+        into.mapping = self.mapping;
+        into.stats.clone_from(&self.stats);
+        into.sink = SinkHandle::disabled();
+        into.now = self.now;
+        into.faults.clone_from(&self.faults);
     }
 
     /// Attaches a fault injector that can set spurious FGD dirty bits on L2

@@ -46,7 +46,7 @@ mod cache;
 mod dbi;
 mod hierarchy;
 
-pub use cache::{Cache, CacheConfig, Evicted, LineMeta};
+pub use cache::{AddrSpanError, Cache, CacheConfig, Evicted, LineMeta};
 pub use dbi::Dbi;
 pub use hierarchy::{
     Access, CacheHierarchy, HierarchyConfig, HierarchyStats, HitLevel, Served, Writeback,

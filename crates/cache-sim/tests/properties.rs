@@ -189,8 +189,11 @@ fn disjoint_cores_do_not_interfere() {
         let stream_b = random_accesses(&mut rng);
         let mut shared = tiny_hierarchy(2, false);
         let mut solo = tiny_hierarchy(1, false);
-        // Core 1's lines are offset far away from core 0's.
-        const OFFSET: u64 = 1 << 40;
+        // Core 1's lines are offset far away from core 0's, still within
+        // the address span the tiny caches' tags cover.
+        const OFFSET: u64 = 1 << 30;
+        let span = (OFFSET + 4096) * mem_model::LINE_BYTES;
+        assert_eq!(shared.config().check_addr_span(span), Ok(()));
         let mut shared_wbs: Vec<(PhysAddr, WordMask)> = Vec::new();
         let mut solo_wbs: Vec<(PhysAddr, WordMask)> = Vec::new();
         let max_len = stream_a.len().max(stream_b.len());

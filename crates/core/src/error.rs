@@ -48,6 +48,14 @@ pub enum SimError {
     /// Checkpointing was half-configured (an interval without a directory,
     /// or a directory without an interval).
     CheckpointConfig(String),
+    /// A core's addresses reach past what the cache tags hold (see
+    /// [`cache_sim::CacheConfig::addr_limit`]).
+    AddressSpan {
+        /// The core whose profile footprint or trace reaches too far.
+        core: usize,
+        /// The span and the limit.
+        source: cache_sim::AddrSpanError,
+    },
     /// The measured phase ended before one memory cycle elapsed, so there
     /// is no time to average power over.
     NoElapsedTime {
@@ -77,6 +85,7 @@ impl fmt::Display for SimError {
                 write!(f, "cannot restore {}: {source}", path.display())
             }
             SimError::CheckpointConfig(msg) => write!(f, "{msg}"),
+            SimError::AddressSpan { core, source } => write!(f, "core {core}: {source}"),
             SimError::NoElapsedTime { instructions } => write!(
                 f,
                 "the measured phase of {instructions} instructions per core ended before \
@@ -95,6 +104,7 @@ impl std::error::Error for SimError {
             SimError::Protocol(e) => Some(e),
             SimError::Liveness(e) => Some(e),
             SimError::Snapshot { source, .. } => Some(source),
+            SimError::AddressSpan { source, .. } => Some(source),
             _ => None,
         }
     }

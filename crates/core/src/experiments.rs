@@ -3,8 +3,15 @@
 //! paper's layout, and EXPERIMENTS.md records the comparison against the
 //! published numbers. Simulated figures draw their runs from a shared
 //! [`ReportStore`], so a run that several figures need simulates once.
+//!
+//! Each simulated figure also has a `*_builders` function listing the
+//! [`SimBuilder`]s it reads. [`ReportStore::run_all`] simulates such a
+//! plan on several threads first, so that drawing the figure afterwards
+//! simulates nothing.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dram_power::{ActivationEnergyModel, DevicePowerTimings, Figure9Point, IddParams, PowerParams};
 use dram_sim::PagePolicy;
@@ -93,6 +100,92 @@ impl ReportStore {
             .or_insert_with(|| builder.run_warm(warm))
     }
 
+    /// Simulates every run of `builders` that the store does not hold yet,
+    /// on `jobs` threads (0: one per available CPU).
+    ///
+    /// The runs are deduplicated by [`SimBuilder::config_digest`] and
+    /// grouped by warm key (runs whose functional warm-up ends in the same
+    /// caches). Workers take whole groups, largest first, and each owns a
+    /// warm image, so every key warms up once whatever `jobs` is. The
+    /// calling thread is one of the workers; with one job it is the only
+    /// one, which keeps thread-local profiler spans in one place. Reports
+    /// enter the store after every worker has finished, and are the same
+    /// as [`report`](Self::report) would produce one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`SimBuilder::run`] does, with that run's own message,
+    /// once every worker has stopped.
+    pub fn run_all(&mut self, builders: &[SimBuilder], jobs: usize) {
+        let mut planned = std::collections::HashSet::new();
+        let mut groups: Vec<(u64, Vec<(u64, &SimBuilder)>)> = Vec::new();
+        for builder in builders {
+            let digest = builder.config_digest();
+            if self.reports.contains_key(&digest) || !planned.insert(digest) {
+                continue;
+            }
+            let key = builder.warm_key();
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, runs)) => runs.push((digest, builder)),
+                None => groups.push((key, vec![(digest, builder)])),
+            }
+        }
+        groups.sort_by_key(|(_, runs)| std::cmp::Reverse(runs.len()));
+        let jobs = match jobs {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
+        }
+        .clamp(1, groups.len().max(1));
+        // The next group to claim. It publishes no data (the groups are
+        // shared read-only, and reports return through `join`), so relaxed
+        // claims suffice.
+        let next = AtomicUsize::new(0);
+        let work = |slot: &mut WarmSlot| {
+            let mut done = Vec::new();
+            while let Some((_, runs)) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                for &(digest, builder) in runs {
+                    match catch_unwind(AssertUnwindSafe(|| builder.run_warm(slot))) {
+                        Ok(report) => done.push((digest, report)),
+                        Err(panic) => {
+                            // Leave no group for the other workers.
+                            next.store(groups.len(), Ordering::Relaxed);
+                            resume_unwind(panic)
+                        }
+                    }
+                }
+            }
+            done
+        };
+        let warm = &mut self.warm;
+        let (mine, theirs) = if jobs == 1 {
+            (Ok(work(warm)), Vec::new())
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (1..jobs)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut slot = WarmSlot::default();
+                            let done = work(&mut slot);
+                            (done, slot.warmups)
+                        })
+                    })
+                    .collect();
+                let mine = catch_unwind(AssertUnwindSafe(|| work(warm)));
+                // Joining each handle takes its panic, so the caller sees
+                // the run's own message rather than the scope's.
+                let theirs: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+                (mine, theirs)
+            })
+        };
+        let mut done = mine.unwrap_or_else(|panic| resume_unwind(panic));
+        for worker in theirs {
+            let (reports, warmups) = worker.unwrap_or_else(|panic| resume_unwind(panic));
+            done.extend(reports);
+            self.warm.warmups += warmups;
+        }
+        self.reports.extend(done);
+    }
+
     /// How many simulations the store has run.
     pub fn simulations(&self) -> usize {
         self.reports.len()
@@ -162,17 +255,21 @@ pub struct Table1Row {
     pub activations: (f64, f64),
 }
 
-/// Runs the eight benchmarks single-core on the baseline (the paper's
-/// motivational setup) and returns one [`Report`] each. These are also the
-/// relaxed close-page alone-IPC runs of [`ReportStore::alone_ipc`].
-pub fn motivation_runs(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<Report> {
+/// The eight benchmarks single-core on the baseline (the paper's
+/// motivational setup). These are also the relaxed close-page alone-IPC
+/// runs of [`ReportStore::alone_ipc`].
+pub fn motivation_builders(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
     workloads::all_benchmarks()
         .iter()
-        .map(|b| {
-            store
-                .report(&alone_builder(cfg, b, PagePolicy::RelaxedClosePage))
-                .clone()
-        })
+        .map(|b| alone_builder(cfg, b, PagePolicy::RelaxedClosePage))
+        .collect()
+}
+
+/// The reports of [`motivation_builders`], in the same order.
+pub fn motivation_runs(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<Report> {
+    motivation_builders(cfg)
+        .iter()
+        .map(|b| store.report(b).clone())
         .collect()
 }
 
@@ -253,14 +350,23 @@ pub struct Fig10Row {
     pub conventional: (f64, f64),
 }
 
+/// PRA on each of the 14 workloads under `policy`: the runs of Figure 10
+/// (relaxed close-page) and Figure 11.
+pub fn pra_builders(cfg: &ExperimentConfig, policy: PagePolicy) -> Vec<SimBuilder> {
+    Workload::suite()
+        .iter()
+        .map(|workload| workload_builder(cfg, workload, policy).scheme(Scheme::Pra))
+        .collect()
+}
+
 /// Figure 10: PRA's impact on row-buffer hit rates, across the 14
 /// workloads under the relaxed close-page policy.
 pub fn fig10(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<Fig10Row> {
     Workload::suite()
         .iter()
-        .map(|workload| {
-            let builder = workload_builder(cfg, workload, PagePolicy::RelaxedClosePage);
-            let r = store.report(&builder.scheme(Scheme::Pra));
+        .zip(pra_builders(cfg, PagePolicy::RelaxedClosePage))
+        .map(|(workload, builder)| {
+            let r = store.report(&builder);
             let read = &r.dram.read;
             let write = &r.dram.write;
             Fig10Row {
@@ -286,8 +392,9 @@ pub fn fig11(
 ) -> Vec<(String, [f64; 8])> {
     let mut rows: Vec<(String, [f64; 8])> = Workload::suite()
         .iter()
-        .map(|workload| {
-            let r = store.report(&workload_builder(cfg, workload, policy).scheme(Scheme::Pra));
+        .zip(pra_builders(cfg, policy))
+        .map(|(workload, builder)| {
+            let r = store.report(&builder);
             (
                 workload.name().to_string(),
                 r.dram.granularity_proportions(),
@@ -328,6 +435,29 @@ pub struct ComparisonRow {
     pub report: Report,
 }
 
+/// The runs [`scheme_comparison`] reads: per workload, the alone-IPC runs
+/// of its applications, its baseline and each scheme of the set.
+pub fn comparison_builders(
+    cfg: &ExperimentConfig,
+    schemes: &[Scheme],
+    policy: PagePolicy,
+    filter: impl Fn(&str) -> bool,
+) -> Vec<SimBuilder> {
+    let mut runs = Vec::new();
+    for workload in Workload::suite().iter().filter(|w| filter(w.name())) {
+        runs.extend(
+            workload
+                .apps(4)
+                .iter()
+                .map(|app| alone_builder(cfg, app, policy)),
+        );
+        let builder = workload_builder(cfg, workload, policy);
+        runs.push(builder.clone().scheme(Scheme::Baseline));
+        runs.extend(schemes.iter().map(|&s| builder.clone().scheme(s)));
+    }
+    runs
+}
+
 /// Runs a scheme set under `policy` over those of the 14 workloads whose
 /// name `filter` accepts, normalising each scheme's metrics to the
 /// baseline run of the same workload. A baseline in the set yields rows
@@ -341,12 +471,7 @@ pub fn scheme_comparison(
 ) -> Vec<ComparisonRow> {
     let mut rows = Vec::new();
     for workload in Workload::suite().iter().filter(|w| filter(w.name())) {
-        // Alone runs first: the baseline and every scheme of the workload
-        // then share one warm image.
         let apps = workload.apps(4);
-        for app in &apps {
-            store.alone_ipc(cfg, app, policy);
-        }
         let builder = workload_builder(cfg, workload, policy);
         let base = store
             .report(&builder.clone().scheme(Scheme::Baseline))
@@ -371,46 +496,62 @@ pub fn scheme_comparison(
     rows
 }
 
+/// The schemes of Figures 12 and 13, and their page policy.
+const FIG12_13: (&[Scheme], PagePolicy) = (
+    &[Scheme::Fga, Scheme::HalfDram, Scheme::Pra],
+    PagePolicy::RelaxedClosePage,
+);
+/// The schemes of Figure 14, and its page policy.
+const FIG14: (&[Scheme], PagePolicy) = (
+    &[Scheme::HalfDram, Scheme::Pra, Scheme::HalfDramPra],
+    PagePolicy::RestrictedClosePage,
+);
+/// The schemes of Figure 15, and its page policy.
+const FIG15: (&[Scheme], PagePolicy) = (
+    &[Scheme::Dbi, Scheme::Pra, Scheme::DbiPra],
+    PagePolicy::RelaxedClosePage,
+);
+
 /// Figures 12 and 13: FGA vs Half-DRAM vs PRA under relaxed close-page,
-/// in a store of their own. Per workload this runs the alone-IPC runs its
-/// weighted speedup needs for the first time, then the baseline, FGA,
-/// Half-DRAM and PRA, which share one warm-up.
+/// in a store of their own. The 64 runs (14 workloads' baseline, FGA,
+/// Half-DRAM and PRA runs, and 8 alone-IPC runs) are simulated by
+/// [`ReportStore::run_all`] on every available CPU, each workload's four
+/// sharing one warm-up.
 pub fn fig12_13(cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
-    fig12_13_with(&mut ReportStore::new(), cfg)
+    let mut store = ReportStore::new();
+    store.run_all(&fig12_13_builders(cfg), 0);
+    fig12_13_with(&mut store, cfg)
+}
+
+/// The runs of [`fig12_13`].
+pub fn fig12_13_builders(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
+    comparison_builders(cfg, FIG12_13.0, FIG12_13.1, |_| true)
 }
 
 /// [`fig12_13`] over a shared store.
 pub fn fig12_13_with(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
-    scheme_comparison(
-        store,
-        cfg,
-        &[Scheme::Fga, Scheme::HalfDram, Scheme::Pra],
-        PagePolicy::RelaxedClosePage,
-        |_| true,
-    )
+    scheme_comparison(store, cfg, FIG12_13.0, FIG12_13.1, |_| true)
+}
+
+/// The runs of [`fig14`].
+pub fn fig14_builders(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
+    comparison_builders(cfg, FIG14.0, FIG14.1, |_| true)
 }
 
 /// Figure 14: Half-DRAM vs PRA vs the combined scheme under restricted
 /// close-page (the paper reports the 14-workload mean).
 pub fn fig14(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
-    scheme_comparison(
-        store,
-        cfg,
-        &[Scheme::HalfDram, Scheme::Pra, Scheme::HalfDramPra],
-        PagePolicy::RestrictedClosePage,
-        |_| true,
-    )
+    scheme_comparison(store, cfg, FIG14.0, FIG14.1, |_| true)
+}
+
+/// The runs of [`fig15`].
+pub fn fig15_builders(cfg: &ExperimentConfig) -> Vec<SimBuilder> {
+    comparison_builders(cfg, FIG15.0, FIG15.1, |_| true)
 }
 
 /// Figure 15: DBI vs PRA vs the combined scheme under relaxed close-page.
 pub fn fig15(store: &mut ReportStore, cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
-    scheme_comparison(
-        store,
-        cfg,
-        &[Scheme::Dbi, Scheme::Pra, Scheme::DbiPra],
-        PagePolicy::RelaxedClosePage,
-        |_| true,
-    )
+    scheme_comparison(store, cfg, FIG15.0, FIG15.1, |_| true)
 }
 
 /// Means of each normalised metric over all workloads, per scheme, in
@@ -626,22 +767,5 @@ mod tests {
         store.alone_ipc(&cfg, &workloads::gups(), PagePolicy::RelaxedClosePage);
         assert_eq!(store.simulations(), 1, "the alone run is the named run");
         assert_eq!(builder.run().state_digest(), digest);
-    }
-
-    #[test]
-    fn fig12_sweep_warms_up_once_per_distinct_image() {
-        let cfg = ExperimentConfig {
-            instructions: 200,
-            seed: 1,
-            warmup: Some(500),
-        };
-        let mut store = ReportStore::new();
-        fig12_13_with(&mut store, &cfg);
-        assert_eq!(store.simulations(), 14 * 4 + 8);
-        assert_eq!(
-            store.warmups(),
-            14 + 8,
-            "one per workload, one per alone run"
-        );
     }
 }

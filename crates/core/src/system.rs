@@ -453,15 +453,42 @@ impl SimBuilder {
     /// groups rows by. Runs with equal keys warm up to identical caches and
     /// generator positions, whatever their scheme, page policy timing,
     /// faults or other DRAM-side knobs.
-    fn warm_key(&self, hierarchy: &HierarchyConfig, dram_view: &DramView) -> u64 {
+    pub(crate) fn warm_key(&self) -> u64 {
         let mut w = sim_snap::SnapWriter::new();
         w.section("pra-warm-key");
         self.write_apps(&mut w);
         w.u64(self.seed);
         w.u64(self.effective_warmup());
-        w.str(&format!("{hierarchy:?}"));
-        w.str(&format!("{dram_view:?}"));
+        w.str(&format!("{:?}", self.hierarchy_config()));
+        w.str(&format!("{:?}", dram_view(&self.dram_config())));
         sim_snap::codec::fnv1a_64(&w.into_bytes())
+    }
+
+    /// The cache hierarchy of this run: the paper's, one L1 per app.
+    fn hierarchy_config(&self) -> HierarchyConfig {
+        HierarchyConfig {
+            dbi: self.scheme.uses_dbi(),
+            prefetch_next_line: self.prefetch_next_line,
+            ..HierarchyConfig::paper(self.apps.len())
+        }
+    }
+
+    /// The DRAM system of this run.
+    fn dram_config(&self) -> DramConfig {
+        let behavior = self
+            .scheme_override
+            .unwrap_or_else(|| self.scheme.behavior());
+        let mut dram_config = match self.generation {
+            DramGeneration::Ddr3 => DramConfig::paper_baseline(self.policy, behavior),
+            DramGeneration::Ddr4 => DramConfig::ddr4_2400(self.policy, behavior),
+        };
+        dram_config.power.ecc_x72 = self.ecc_x72;
+        dram_config.recovery = self.recovery;
+        dram_config.liveness = self.liveness;
+        if let Some(age) = self.escalation_age {
+            dram_config.starvation_escalation_age = age;
+        }
+        dram_config
     }
 
     /// One generator per core, each over a disjoint 2 GB slice of the 8 GB
@@ -473,10 +500,39 @@ impl SimBuilder {
             .map(|(core, spec)| {
                 spec.source(
                     self.seed.wrapping_add(core as u64 * 0x1234_5678),
-                    (core as u64) << 31,
+                    core_base(core),
                 )
             })
             .collect()
+    }
+
+    /// Checks that every core's addresses fit the cache tags: a profile's
+    /// slice from its core's base to the end of its footprint, a trace's
+    /// addresses as recorded.
+    fn check_addr_spans(&self, hierarchy: &HierarchyConfig) -> Result<(), SimError> {
+        for (core, app) in self.apps.iter().enumerate() {
+            let span = match app {
+                AppSpec::Profile(p) => {
+                    let footprint = p.footprint_lines.saturating_mul(mem_model::LINE_BYTES);
+                    core_base(core).saturating_add(footprint)
+                }
+                AppSpec::Trace { trace, .. } => trace
+                    .ops()
+                    .iter()
+                    .filter_map(|op| match op {
+                        cpu_sim::Op::Load(a) | cpu_sim::Op::Store(a, _) => {
+                            Some(a.raw().saturating_add(1))
+                        }
+                        cpu_sim::Op::Compute(_) => None,
+                    })
+                    .max()
+                    .unwrap_or(0),
+            };
+            hierarchy
+                .check_addr_span(span)
+                .map_err(|source| SimError::AddressSpan { core, source })?;
+        }
+        Ok(())
     }
 
     /// Functional warm-up: plays each generator's prefix through the cache
@@ -531,7 +587,7 @@ impl SimBuilder {
             let hierarchy = cold(&mut generators);
             return (hierarchy, generators);
         };
-        let key = self.warm_key(&hierarchy_config, &dram_view);
+        let key = self.warm_key();
         if let Some(image) = slot.image.as_ref().filter(|image| image.key == key) {
             let mut r = sim_snap::SnapReader::new(&image.generators);
             for generator in &mut generators {
@@ -539,7 +595,7 @@ impl SimBuilder {
                     .snap_load_state(&mut r)
                     .expect("generator state saved by this warm key");
             }
-            return (image.hierarchy.fork(), generators);
+            return (fork_reusing(&image.hierarchy, &mut slot.spare), generators);
         }
         // Drop the old image first, so at most two hierarchies are live.
         slot.image = None;
@@ -550,7 +606,7 @@ impl SimBuilder {
         }
         slot.image = Some(WarmImage {
             key,
-            hierarchy: hierarchy.fork(),
+            hierarchy: fork_reusing(&hierarchy, &mut slot.spare),
             generators: w.into_bytes(),
         });
         slot.warmups += 1;
@@ -691,10 +747,15 @@ impl SimBuilder {
             .map_or_else(|e| panic!("{e}"), |(report, _)| report)
     }
 
-    fn try_run_from(&self, slot: Option<&mut WarmSlot>) -> Result<(Report, SnapOutcome), SimError> {
+    fn try_run_from(
+        &self,
+        mut slot: Option<&mut WarmSlot>,
+    ) -> Result<(Report, SnapOutcome), SimError> {
         if self.apps.is_empty() {
             return Err(SimError::NoApplications);
         }
+        let hierarchy_config = self.hierarchy_config();
+        self.check_addr_spans(&hierarchy_config)?;
         if let Some(plan) = &self.faults {
             plan.validate()?;
         }
@@ -715,26 +776,8 @@ impl SimBuilder {
             }
             _ => {}
         }
-        let cores = self.apps.len();
-        let hierarchy_config = HierarchyConfig {
-            dbi: self.scheme.uses_dbi(),
-            prefetch_next_line: self.prefetch_next_line,
-            ..HierarchyConfig::paper(cores)
-        };
-        let behavior = self
-            .scheme_override
-            .unwrap_or_else(|| self.scheme.behavior());
-        let mut dram_config = match self.generation {
-            DramGeneration::Ddr3 => DramConfig::paper_baseline(self.policy, behavior),
-            DramGeneration::Ddr4 => DramConfig::ddr4_2400(self.policy, behavior),
-        };
-        dram_config.power.ecc_x72 = self.ecc_x72;
-        dram_config.recovery = self.recovery;
-        dram_config.liveness = self.liveness;
-        if let Some(age) = self.escalation_age {
-            dram_config.starvation_escalation_age = age;
-        }
-        let dram_view = (dram_config.geometry, dram_config.mapping);
+        let dram_config = self.dram_config();
+        let dram_view = dram_view(&dram_config);
         let mut mem = MemorySystem::try_new(dram_config)?;
         mem.set_power_telemetry(self.power_telemetry);
         // A no-op plan attaches nothing: the injector-free fast path stays
@@ -743,7 +786,8 @@ impl SimBuilder {
         if let Some(plan) = &fault_plan {
             mem.set_fault_injector(plan.injector(Domain::Dram));
         }
-        let (mut hierarchy, generators) = self.warmed(hierarchy_config, dram_view, slot);
+        let (mut hierarchy, generators) =
+            self.warmed(hierarchy_config, dram_view, slot.as_deref_mut());
         hierarchy.reset_stats();
         // Cache-side faults start with the measured phase, after warmup, so
         // warmup cache contents are identical with and without a plan.
@@ -888,6 +932,9 @@ impl SimBuilder {
             recovery: system.mem().recovery_counts(),
             timed_out: outcome.timed_out,
         };
+        if let Some(slot) = slot {
+            slot.spare = Some(system.into_hierarchy());
+        }
         Ok((report, snap))
     }
 }
@@ -895,6 +942,15 @@ impl SimBuilder {
 /// The DRAM geometry and address mapping the cache hierarchy's DBI groups
 /// rows by.
 type DramView = (mem_model::DramGeometry, mem_model::AddressMapping);
+
+fn dram_view(config: &DramConfig) -> DramView {
+    (config.geometry, config.mapping)
+}
+
+/// The base address of core `core`'s 2 GB slice.
+fn core_base(core: usize) -> u64 {
+    (core as u64) << 31
+}
 
 /// A functionally warmed hierarchy and the generator positions warm-up
 /// left, for every run with the same warm key.
@@ -907,11 +963,25 @@ struct WarmImage {
 }
 
 /// Holds at most one [`WarmImage`] (the newest) and counts the cold
-/// warm-ups it has seen.
+/// warm-ups it has seen. It also keeps the hierarchy of the last run it
+/// served, whose buffers the next fork overwrites instead of allocating
+/// new ones.
 #[derive(Debug, Default)]
 pub(crate) struct WarmSlot {
     image: Option<WarmImage>,
+    spare: Option<CacheHierarchy>,
     pub(crate) warmups: usize,
+}
+
+/// A fork of `hierarchy`, into the buffers of `spare` when there is one.
+fn fork_reusing(hierarchy: &CacheHierarchy, spare: &mut Option<CacheHierarchy>) -> CacheHierarchy {
+    match spare.take() {
+        Some(mut spare) => {
+            hierarchy.fork_into(&mut spare);
+            spare
+        }
+        None => hierarchy.fork(),
+    }
 }
 
 impl Default for SimBuilder {
@@ -1693,6 +1763,37 @@ mod tests {
             matches!(&err, SimError::CheckpointConfig(m) if m.contains("checkpoint_every")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn address_spans_past_the_cache_tags_are_rejected() {
+        // Core 0's slice ends exactly at the L1 tags' 2^45-byte limit;
+        // core 1's starts 2 GB higher.
+        let wide = BenchProfile {
+            footprint_lines: (1 << 45) / mem_model::LINE_BYTES,
+            ..workloads::gups()
+        };
+        let err = SimBuilder::new()
+            .homogeneous(wide, 2)
+            .try_run()
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::AddressSpan { core: 1, source }
+                if source.span == (1 << 45) + (1 << 31) && source.limit == 1 << 45),
+            "{err}"
+        );
+        // A trace recorded above the limit is rejected the same way.
+        let mut high = WorkloadGen::new(workloads::gups(), 1, 1 << 45);
+        let trace = Trace::record(&mut high, 100);
+        let err = SimBuilder::new()
+            .app_trace("high", trace)
+            .try_run()
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::AddressSpan { core: 0, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("limit of the cache tags"), "{err}");
     }
 
     #[test]

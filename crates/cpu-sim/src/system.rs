@@ -182,6 +182,12 @@ impl CpuSystem {
         &mut self.hierarchy
     }
 
+    /// Takes the system apart, keeping its cache hierarchy (whose buffers
+    /// a later run may reuse).
+    pub fn into_hierarchy(self) -> CacheHierarchy {
+        self.hierarchy
+    }
+
     /// Per-core stats.
     pub fn cores(&self) -> &[Core] {
         &self.cores

@@ -327,8 +327,8 @@ fn execute_job(job: &Job, verify: bool) -> (JournalRecord, bool) {
 ///
 /// [`HarnessError`] when the matrix is inconsistent, a fault-plan file
 /// cannot be read or parsed, resume is requested without an existing
-/// journal (or with one this matrix did not write), or the journal cannot
-/// be read or written.
+/// journal, the journal holds a run this matrix does not produce, or the
+/// journal cannot be read or written.
 /// Individual run failures do *not* error — they are journaled and
 /// reported in the summary (see [`CampaignSummary::has_failures`]).
 pub fn run_campaign(
@@ -351,31 +351,31 @@ pub fn run_campaign(
     } else {
         LoadedJournal::default()
     };
-    if options.resume {
-        // Refuse to resume against a journal another campaign (or an older
-        // journal format) wrote: every journaled config digest must be
-        // producible by the re-expanded matrix, else "skip completed runs"
-        // would silently skip runs of a *different* experiment.
-        let expected: std::collections::HashSet<u64> =
-            jobs.iter().map(|j| j.record.config_digest).collect();
-        if let Some(alien) = loaded
-            .records
-            .iter()
-            .find(|r| !expected.contains(&r.config_digest))
-        {
-            return Err(harness_err(format!(
-                "cannot resume: journal {} was written by a different campaign — \
-                 record {}/{} seed {} has config digest {:016x}, which the \
-                 re-expanded matrix does not produce (did the matrix file change, \
-                 or does the journal predate the current journal format, which \
-                 keys each run on the simulator's config digest?)",
-                options.journal.display(),
-                alien.scheme,
-                alien.workload,
-                alien.seed,
-                alien.config_digest,
-            )));
-        }
+    // Refuse a journal another campaign (or an older journal format)
+    // wrote, whether resuming or running: every journaled config digest
+    // must be producible by the expanded matrix. Otherwise "skip completed
+    // runs" would silently skip runs of a *different* experiment, and a
+    // fresh run would append to a journal no later resume accepts.
+    let expected: std::collections::HashSet<u64> =
+        jobs.iter().map(|j| j.record.config_digest).collect();
+    if let Some(alien) = loaded
+        .records
+        .iter()
+        .find(|r| !expected.contains(&r.config_digest))
+    {
+        return Err(harness_err(format!(
+            "cannot {}: journal {} was written by a different campaign — \
+             record {}/{} seed {} has config digest {:016x}, which the \
+             expanded matrix does not produce (did the matrix file change, \
+             or does the journal predate the current journal format, which \
+             keys each run on the simulator's config digest?)",
+            if options.resume { "resume" } else { "run" },
+            options.journal.display(),
+            alien.scheme,
+            alien.workload,
+            alien.seed,
+            alien.config_digest,
+        )));
     }
     let completed = loaded.completed_keys();
 
@@ -797,6 +797,29 @@ mod tests {
         // The original campaign still resumes cleanly (everything skipped).
         let summary = run_campaign(&campaign_a, &resume_options).unwrap();
         assert_eq!(summary.skipped, 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn run_into_a_journal_from_a_different_campaign_fails_and_leaves_it_unchanged() {
+        let root = snap_root("alienrun");
+        let journal = root.join("journal.jsonl");
+        let options = CampaignOptions {
+            jobs: 1,
+            journal: journal.clone(),
+            resume: false,
+        };
+        run_campaign(&Campaign::from_toml_str(TINY).unwrap(), &options).unwrap();
+        let before = std::fs::read(&journal).unwrap();
+        let other = Campaign::from_toml_str(&format!("{TINY}instructions = 500\n")).unwrap();
+        let e = run_campaign(&other, &options).unwrap_err();
+        assert!(e.to_string().contains("cannot run:"), "{e}");
+        assert!(e.to_string().contains("different campaign"), "{e}");
+        assert_eq!(
+            std::fs::read(&journal).unwrap(),
+            before,
+            "journal untouched"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

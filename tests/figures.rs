@@ -21,8 +21,9 @@ fn static_figures_match_the_committed_results() {
     let (mut store, cfg) = (ReportStore::new(), ExperimentConfig::quick());
     let mut files = Vec::new();
     for name in ["table2", "table3", "fig07", "fig09"] {
-        let (_, render) = FIGURES.iter().find(|(n, _)| *n == name).unwrap();
-        files.extend(render(&mut store, &cfg).unwrap());
+        let figure = FIGURES.iter().find(|f| f.name == name).unwrap();
+        assert!((figure.runs)(&cfg).is_empty(), "{name} declares no runs");
+        files.extend((figure.render)(&mut store, &cfg).unwrap());
     }
     let names: Vec<&str> = files.iter().map(|(file, _)| *file).collect();
     assert_eq!(
@@ -40,17 +41,41 @@ fn static_figures_match_the_committed_results() {
 
 #[test]
 fn default_and_selected_figures() {
-    let (cfg, figures) = parse_args(&[]).unwrap();
-    assert_eq!(cfg.instructions, ExperimentConfig::figure().instructions);
-    assert_eq!(figures.len(), FIGURES.len());
-    let (cfg, figures) = parse_args(&args(&["--only", "fig13,table1", "50000", "7"])).unwrap();
-    assert_eq!((cfg.instructions, cfg.seed), (50_000, 7));
-    let names: Vec<&str> = figures.iter().map(|(n, _)| *n).collect();
+    let defaults = parse_args(&[]).unwrap();
+    assert_eq!(
+        defaults.cfg.instructions,
+        ExperimentConfig::figure().instructions
+    );
+    assert_eq!(defaults.figures.len(), FIGURES.len());
+    assert_eq!(defaults.jobs, 0, "one thread per available CPU");
+    let selected = parse_args(&args(&[
+        "--only",
+        "fig13,table1",
+        "--jobs",
+        "3",
+        "50000",
+        "7",
+    ]))
+    .unwrap();
+    assert_eq!((selected.cfg.instructions, selected.cfg.seed), (50_000, 7));
+    assert_eq!(selected.jobs, 3);
+    let names: Vec<&str> = selected.figures.iter().map(|f| f.name).collect();
     assert_eq!(
         names,
         ["table1", "fig13"],
         "selection keeps the suite's order"
     );
+}
+
+#[test]
+fn malformed_job_count_is_rejected() {
+    for bad in [&["--jobs"][..], &["--jobs", "0"], &["--jobs", "two"]] {
+        let err = parse_args(&args(bad)).unwrap_err();
+        assert!(
+            err.contains("--jobs needs a positive number"),
+            "{bad:?}: {err}"
+        );
+    }
 }
 
 #[test]
