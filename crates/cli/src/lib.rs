@@ -293,7 +293,8 @@ pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
     let scheme: Scheme = opts.get_parsed("scheme", "pra")?;
     let builder = build(opts, scheme)?;
     if opts.get_bool("verify-determinism") {
-        let report = builder.try_run_verified()?;
+        let report = builder.try_run()?;
+        builder.try_verify(&report)?;
         let mut out = render_report(&report);
         let _ = writeln!(out, "determinism verified: two runs, identical digests");
         Ok(out)

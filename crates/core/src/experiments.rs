@@ -10,8 +10,10 @@
 //! simulates nothing.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use dram_power::{ActivationEnergyModel, DevicePowerTimings, Figure9Point, IddParams, PowerParams};
 use dram_sim::PagePolicy;
@@ -72,10 +74,8 @@ impl ExperimentConfig {
 /// [`SimBuilder::config_digest`], so a run that several figures share
 /// simulates once.
 ///
-/// The store also keeps the newest functionally warmed cache image. A run
-/// whose warm-up would reproduce it (same apps, seed, warm-up length,
-/// hierarchy and DRAM view, whatever the scheme) starts from a copy of it
-/// instead of warming up again; its report is identical either way.
+/// The store also keeps a [`WarmSlot`], so a run whose warm key matches the
+/// newest warm image starts from a copy of it; its report is identical.
 #[derive(Debug, Default)]
 pub struct ReportStore {
     reports: HashMap<u64, Report>,
@@ -94,95 +94,49 @@ impl ReportStore {
     ///
     /// Panics where [`SimBuilder::run`] does.
     pub fn report(&mut self, builder: &SimBuilder) -> &Report {
-        let warm = &mut self.warm;
-        self.reports
-            .entry(builder.config_digest())
-            .or_insert_with(|| builder.run_warm(warm))
+        let digest = builder.config_digest();
+        if !self.reports.contains_key(&digest) {
+            self.run_all(std::slice::from_ref(builder), 1);
+        }
+        &self.reports[&digest]
     }
 
     /// Simulates every run of `builders` that the store does not hold yet,
-    /// on `jobs` threads (0: one per available CPU).
-    ///
-    /// The runs are deduplicated by [`SimBuilder::config_digest`] and
-    /// grouped by warm key (runs whose functional warm-up ends in the same
-    /// caches). Workers take whole groups, largest first, and each owns a
-    /// warm image, so every key warms up once whatever `jobs` is. The
-    /// calling thread is one of the workers; with one job it is the only
-    /// one, which keeps thread-local profiler spans in one place. Reports
-    /// enter the store after every worker has finished, and are the same
-    /// as [`report`](Self::report) would produce one by one.
+    /// deduplicated by [`SimBuilder::config_digest`], on [`run_pool`]'s
+    /// `jobs` workers. Reports enter the store after every worker has
+    /// finished, and are the same as [`report`](Self::report) would produce
+    /// one by one.
     ///
     /// # Panics
     ///
     /// Panics where [`SimBuilder::run`] does, with that run's own message,
-    /// once every worker has stopped.
+    /// once every worker has stopped. Nothing enters the store then.
     pub fn run_all(&mut self, builders: &[SimBuilder], jobs: usize) {
         let mut planned = std::collections::HashSet::new();
-        let mut groups: Vec<(u64, Vec<(u64, &SimBuilder)>)> = Vec::new();
-        for builder in builders {
-            let digest = builder.config_digest();
-            if self.reports.contains_key(&digest) || !planned.insert(digest) {
-                continue;
-            }
-            let key = builder.warm_key();
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, runs)) => runs.push((digest, builder)),
-                None => groups.push((key, vec![(digest, builder)])),
-            }
-        }
-        groups.sort_by_key(|(_, runs)| std::cmp::Reverse(runs.len()));
-        let jobs = match jobs {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
-            n => n,
-        }
-        .clamp(1, groups.len().max(1));
-        // The next group to claim. It publishes no data (the groups are
-        // shared read-only, and reports return through `join`), so relaxed
-        // claims suffice.
-        let next = AtomicUsize::new(0);
-        let work = |slot: &mut WarmSlot| {
-            let mut done = Vec::new();
-            while let Some((_, runs)) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
-                for &(digest, builder) in runs {
-                    match catch_unwind(AssertUnwindSafe(|| builder.run_warm(slot))) {
-                        Ok(report) => done.push((digest, report)),
-                        Err(panic) => {
-                            // Leave no group for the other workers.
-                            next.store(groups.len(), Ordering::Relaxed);
-                            resume_unwind(panic)
-                        }
-                    }
-                }
-            }
-            done
-        };
-        let warm = &mut self.warm;
-        let (mine, theirs) = if jobs == 1 {
-            (Ok(work(warm)), Vec::new())
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (1..jobs)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut slot = WarmSlot::default();
-                            let done = work(&mut slot);
-                            (done, slot.warmups)
-                        })
-                    })
-                    .collect();
-                let mine = catch_unwind(AssertUnwindSafe(|| work(warm)));
-                // Joining each handle takes its panic, so the caller sees
-                // the run's own message rather than the scope's.
-                let theirs: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-                (mine, theirs)
-            })
-        };
-        let mut done = mine.unwrap_or_else(|panic| resume_unwind(panic));
-        for worker in theirs {
-            let (reports, warmups) = worker.unwrap_or_else(|panic| resume_unwind(panic));
-            done.extend(reports);
-            self.warm.warmups += warmups;
-        }
+        let runs: Vec<(u64, &SimBuilder)> = builders
+            .iter()
+            .map(|builder| (builder.config_digest(), builder))
+            .filter(|(digest, _)| !self.reports.contains_key(digest) && planned.insert(*digest))
+            .collect();
+        let mut done = Vec::with_capacity(runs.len());
+        #[expect(
+            clippy::panic,
+            reason = "panics exactly where the documented `run` facade does"
+        )]
+        let Ok(_) = run_pool(
+            &runs,
+            |(_, builder)| builder,
+            jobs,
+            &mut self.warm,
+            |(_, builder), slot| {
+                let (report, _) = builder.try_run_warm(slot).unwrap_or_else(|e| panic!("{e}"));
+                report
+            },
+            |&(digest, _), report| {
+                done.push((digest, report));
+                Ok::<(), Infallible>(())
+            },
+        );
         self.reports.extend(done);
     }
 
@@ -236,6 +190,113 @@ impl ReportStore {
             .weighted_speedup(&alone)
             .expect("alone-IPC runs were produced for this very report")
     }
+}
+
+/// The one worker pool: runs `runs` on `jobs` workers (0: one per
+/// available CPU), hands each result to `done` and returns the number of
+/// workers.
+///
+/// Workers claim whole groups of runs with the same warm key, largest group
+/// first, and each passes its own [`WarmSlot`] to `run`, so every key warms
+/// up once while there are at least as many keys as workers. With fewer,
+/// the largest groups are split until each worker has one, and each split
+/// costs one more warm-up. Worker `i` starts with group `i`, so the count
+/// does not depend on thread timing. The calling thread is worker 0, with
+/// `slot`, which also gets the other workers' warm-up counts. `done` runs
+/// on the finishing worker, one call at a time; its first `Err` stops
+/// further claims and is returned once every worker has joined.
+///
+/// # Panics
+///
+/// A panic in `run` or `done` stops further claims and is re-raised with
+/// its own payload once every worker has joined.
+pub fn run_pool<T: Sync, R, E: Send>(
+    runs: &[T],
+    builder: impl Fn(&T) -> &SimBuilder,
+    jobs: usize,
+    slot: &mut WarmSlot,
+    run: impl Fn(&T, &mut WarmSlot) -> R + Sync,
+    done: impl FnMut(&T, R) -> Result<(), E> + Send,
+) -> Result<usize, E> {
+    let mut groups: Vec<(u64, Vec<&T>)> = Vec::new();
+    for item in runs {
+        let key = builder(item).warm_key();
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push(item),
+            None => groups.push((key, vec![item])),
+        }
+    }
+    let workers = match jobs {
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        n => n,
+    }
+    .clamp(1, runs.len().max(1));
+    // With fewer groups than workers some workers would idle: split the
+    // largest group in two, at the price of one more warm-up, until every
+    // worker has one.
+    groups.sort_by_key(|(_, group)| std::cmp::Reverse(group.len()));
+    while groups.len() < workers.min(runs.len()) {
+        let (key, largest) = &mut groups[0];
+        let half = (*key, largest.split_off(largest.len() / 2));
+        groups.push(half);
+        groups.sort_by_key(|(_, group)| std::cmp::Reverse(group.len()));
+    }
+    // Worker `i` starts with group `i` and later claims the next unclaimed
+    // group, so which runs share a slot, and so the warm-up count, never
+    // depends on thread timing. The atomics publish no data (the groups are
+    // shared read-only, and results pass through the `done` lock), so
+    // relaxed accesses suffice.
+    let next = AtomicUsize::new(workers);
+    let stopped = AtomicBool::new(false);
+    let stop = || stopped.store(true, Ordering::Relaxed);
+    let done = Mutex::new((done, None));
+    let work = |first: usize, slot: &mut WarmSlot| {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut claim = first;
+            while let Some((_, group)) = groups
+                .get(claim)
+                .filter(|_| !stopped.load(Ordering::Relaxed))
+            {
+                for &item in group {
+                    let result = run(item, slot);
+                    // A poisoned lock means `done` panicked on another worker.
+                    let Ok(mut guard) = done.lock() else { return };
+                    let (done, error) = &mut *guard;
+                    if error.is_none() {
+                        *error = done(item, result).err();
+                    }
+                    if error.is_some() {
+                        return stop();
+                    }
+                }
+                claim = next.fetch_add(1, Ordering::Relaxed);
+            }
+        }))
+        .inspect_err(|_| stop())
+    };
+    let panic = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .map(|first| {
+                scope.spawn(move || {
+                    let mut own = WarmSlot::default();
+                    (work(first, &mut own), own.warmups)
+                })
+            })
+            .collect();
+        let mut outcomes = vec![work(0, slot)];
+        for handle in handles {
+            let (outcome, warmups) = handle.join().unwrap_or_else(|panic| (Err(panic), 0));
+            slot.warmups += warmups;
+            outcomes.push(outcome);
+        }
+        outcomes.into_iter().find_map(Result::err)
+    });
+    if let Some(panic) = panic {
+        resume_unwind(panic)
+    }
+    // Only a panic in `done` poisons the lock, and it was re-raised above.
+    let (_, error) = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    error.map_or(Ok(workers), Err)
 }
 
 // ---------------------------------------------------------------------------
@@ -750,6 +811,63 @@ mod tests {
             assert_eq!(line.split(',').count(), fields, "ragged row: {line}");
         }
         assert!(lines[1].starts_with("GUPS,baseline,1.000000,"));
+    }
+
+    #[test]
+    fn pool_stops_claiming_after_the_first_callback_error() {
+        let builders: Vec<SimBuilder> = (1..=3)
+            .map(|seed| tiny().builder().app(workloads::gups()).seed(seed))
+            .collect();
+        let ran = AtomicUsize::new(0);
+        let result = run_pool(
+            &builders,
+            |builder| builder,
+            1,
+            &mut WarmSlot::default(),
+            |_, _| ran.fetch_add(1, Ordering::Relaxed),
+            |_, _| Err("journal full"),
+        );
+        assert_eq!(result, Err("journal full"));
+        assert_eq!(ran.into_inner(), 1, "three warm keys, so three groups");
+        let workers = run_pool(
+            &builders,
+            |builder| builder,
+            0,
+            &mut WarmSlot::default(),
+            |_, _| (),
+            |_, ()| Ok::<(), ()>(()),
+        );
+        assert!(matches!(workers, Ok(1..=3)), "{workers:?}");
+    }
+
+    #[test]
+    fn pool_splits_a_lone_warm_key_so_no_worker_idles() {
+        let builders: Vec<SimBuilder> = [Scheme::Baseline, Scheme::Pra, Scheme::HalfDram]
+            .into_iter()
+            .map(|scheme| tiny().builder().app(workloads::gups()).scheme(scheme))
+            .collect();
+        let mut slot = WarmSlot::default();
+        let mut digests = Vec::new();
+        let workers = run_pool(
+            &builders,
+            |builder| builder,
+            2,
+            &mut slot,
+            |builder, slot| builder.try_run_warm(slot).unwrap().0.state_digest(),
+            |builder, digest| {
+                digests.push((builder.config_digest(), digest));
+                Ok::<(), ()>(())
+            },
+        );
+        assert_eq!(workers, Ok(2), "one warm key, split in two");
+        assert_eq!(slot.warmups(), 2, "one warm-up per half");
+        digests.sort_unstable();
+        let mut cold: Vec<_> = builders
+            .iter()
+            .map(|b| (b.config_digest(), b.run().state_digest()))
+            .collect();
+        cold.sort_unstable();
+        assert_eq!(digests, cold);
     }
 
     #[test]

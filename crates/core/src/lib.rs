@@ -70,4 +70,4 @@ pub use pra::{
 };
 pub use report::Report;
 pub use scheme::Scheme;
-pub use system::{DramGeneration, SimBuilder, SnapOutcome};
+pub use system::{DramGeneration, SimBuilder, SnapOutcome, WarmSlot};

@@ -685,25 +685,21 @@ impl SimBuilder {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the simulation twice and verifies the two reports are
-    /// byte-identical (same [`Report::state_digest`]), catching
-    /// nondeterminism in the stack or in an attached fault plan.
+    /// Runs the simulation again, warmed up cold, and verifies that it ends
+    /// on `first`'s [`Report::state_digest`], catching nondeterminism in
+    /// the stack, in an attached fault plan or in the warm fork `first` may
+    /// have started from.
     ///
     /// # Errors
     ///
     /// Any [`SimBuilder::try_run`] error, plus
     /// [`SimError::Nondeterministic`] with both digests on a mismatch.
-    pub fn try_run_verified(&self) -> Result<Report, SimError> {
-        let first = self.try_run()?;
-        let second = self.try_run()?;
-        let (a, b) = (first.state_digest(), second.state_digest());
-        if a != b {
-            return Err(SimError::Nondeterministic {
-                first: a,
-                second: b,
-            });
+    pub fn try_verify(&self, first: &Report) -> Result<(), SimError> {
+        let (first, second) = (first.state_digest(), self.try_run()?.state_digest());
+        if first != second {
+            return Err(SimError::Nondeterministic { first, second });
         }
-        Ok(second)
+        Ok(())
     }
 
     /// Builds the system and runs it to completion.
@@ -735,16 +731,15 @@ impl SimBuilder {
         self.try_run_from(None)
     }
 
-    /// [`Self::run`], starting from `slot`'s warm image when its warm key
-    /// matches this run's and replacing the image otherwise. The report is
-    /// identical to [`Self::run`]'s.
-    #[expect(
-        clippy::panic,
-        reason = "panics exactly where the documented `run` facade does"
-    )]
-    pub(crate) fn run_warm(&self, slot: &mut WarmSlot) -> Report {
+    /// [`Self::try_run_snap`], starting from `slot`'s warm image when its
+    /// warm key matches this run's and replacing the image otherwise. The
+    /// report is identical to [`Self::try_run_snap`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Self::try_run_snap`] returns.
+    pub fn try_run_warm(&self, slot: &mut WarmSlot) -> Result<(Report, SnapOutcome), SimError> {
         self.try_run_from(Some(slot))
-            .map_or_else(|e| panic!("{e}"), |(report, _)| report)
     }
 
     fn try_run_from(
@@ -962,15 +957,23 @@ struct WarmImage {
     generators: Vec<u8>,
 }
 
-/// Holds at most one [`WarmImage`] (the newest) and counts the cold
-/// warm-ups it has seen. It also keeps the hierarchy of the last run it
-/// served, whose buffers the next fork overwrites instead of allocating
-/// new ones.
+/// Holds at most one functionally warmed cache image (the newest) and
+/// counts the cold warm-ups it has seen. It also keeps the hierarchy of the
+/// last run it served, whose buffers the next fork overwrites instead of
+/// allocating new ones. See [`SimBuilder::try_run_warm`].
 #[derive(Debug, Default)]
-pub(crate) struct WarmSlot {
+pub struct WarmSlot {
     image: Option<WarmImage>,
     spare: Option<CacheHierarchy>,
     pub(crate) warmups: usize,
+}
+
+impl WarmSlot {
+    /// How many of the runs this slot served warmed their caches up from
+    /// cold; the rest started from its image.
+    pub fn warmups(&self) -> usize {
+        self.warmups
+    }
 }
 
 /// A fork of `hierarchy`, into the buffers of `spare` when there is one.
@@ -1434,7 +1437,8 @@ mod tests {
             .warmup_mem_ops(400_000)
             .faults(plan)
             .recovery(dram_sim::RecoveryConfig::default());
-        let report = builder.try_run_verified().expect("deterministic");
+        let report = builder.try_run().unwrap();
+        builder.try_verify(&report).expect("deterministic");
         assert!(report.recovery.engaged(), "faults must raise alerts");
         assert!(report.recovery.recovered > 0, "transients must recover");
         assert_eq!(

@@ -2,9 +2,11 @@
 //!
 //! A *campaign* is a batch of simulations over an experiment matrix —
 //! scheme × workload × seed (× optional fault plan) — expanded into one
-//! [`pra_core::SimBuilder`] per run ([`Campaign::expand`]) and executed by a
-//! pool of worker threads. The harness is built for overnight sweeps that must
-//! survive individual bad runs:
+//! [`pra_core::SimBuilder`] per run ([`Campaign::expand`]) and executed on
+//! the figure suite's warm-key pool ([`pra_core::experiments::run_pool`]),
+//! which warms each key's caches up once (once per worker that runs it,
+//! when there are fewer keys than workers) and forks the rest. The harness
+//! is built for overnight sweeps that must survive individual bad runs:
 //!
 //! * **Panic isolation** — each run executes behind `catch_unwind`, so a
 //!   poisoned configuration produces a structured failure record (panic
@@ -20,16 +22,14 @@
 //!   artifact) is tolerated and re-run.
 //! * **Determinism spot-checks** — an optional sampled fraction of runs is
 //!   executed twice and the two [`pra_core::Report::state_digest`]s
-//!   compared.
+//!   compared. The second run warms up cold, so the check also compares a
+//!   forked start against a cold one.
 //!
-//! Per-run counters route through [`sim_obs::MetricsRegistry`]
-//! (`campaign.runs_ok`, `campaign.runs_recovered`, `campaign.runs_failed`, `campaign.runs_hung`,
-//! `campaign.runs_skipped`, `campaign.determinism_mismatches`,
-//! `campaign.host_nanos`) plus a `campaign.run_cycles` histogram over
-//! successful runs. Each completed run also prints a stderr heartbeat
-//! (`[campaign done/total] …`) with its host time and simulated
-//! cycles-per-second, and the summary keeps the [`SLOWEST_KEPT`] slowest
-//! runs for the report's "slowest runs" table.
+//! Campaign counters (`campaign.*`, declared in `docs/metrics.md`) route
+//! through the summary's [`sim_obs::MetricsRegistry`]. Each completed run
+//! also prints a stderr heartbeat (`[campaign done/total] …`), and the
+//! summary keeps the [`SLOWEST_KEPT`] slowest runs for its "slowest runs"
+//! table.
 //!
 //! The `pra campaign run|resume|report` subcommands are thin wrappers over
 //! [`run_campaign`] and [`load_journal`].

@@ -1,14 +1,12 @@
 //! The panic-isolated parallel campaign executor.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::Instant;
 
-use pra_core::{Report, SimError, SnapOutcome};
+use pra_core::experiments::run_pool;
+use pra_core::{Report, SimError, SnapOutcome, WarmSlot};
 use sim_obs::MetricsRegistry;
 
 use crate::journal::{load_journal, JournalRecord, JournalWriter, LoadedJournal, RunStatus};
@@ -49,7 +47,7 @@ pub struct CampaignOptions {
 pub const SLOWEST_KEPT: usize = 5;
 
 /// What a campaign did: counters, failures and the per-run metrics.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CampaignSummary {
     /// Runs in the expanded matrix.
     pub total: usize,
@@ -75,6 +73,9 @@ pub struct CampaignSummary {
     pub elapsed_ms: u64,
     /// Worker threads used.
     pub jobs: usize,
+    /// Cold warm-ups the workers' warm slots did (the spot-check's cold
+    /// second runs are not counted); every other run forked one.
+    pub warmups: usize,
     /// Every failed or hung run, in completion order.
     pub failures: Vec<JournalRecord>,
     /// The [`SLOWEST_KEPT`] slowest executed runs by host time, slowest
@@ -94,7 +95,7 @@ impl CampaignSummary {
     /// Renders the human-readable campaign report.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "campaign: {} runs ({} ok, {} recovered, {} failed, {} hung, {} skipped) in {} ms on {} worker{}",
+            "campaign: {} runs ({} ok, {} recovered, {} failed, {} hung, {} skipped) in {} ms on {} worker{}, {} warm-up{}",
             self.total,
             self.ok,
             self.recovered,
@@ -104,6 +105,8 @@ impl CampaignSummary {
             self.elapsed_ms,
             self.jobs,
             if self.jobs == 1 { "" } else { "s" },
+            self.warmups,
+            if self.warmups == 1 { "" } else { "s" },
         );
         if self.determinism_checked > 0 {
             out.push_str(&format!(
@@ -180,17 +183,21 @@ impl CampaignSummary {
     }
 }
 
-/// Runs one job (optionally twice, for the determinism spot-check). Runs
-/// on a worker thread inside `catch_unwind`; panics (including the
-/// synthetic fixture's) unwind to the isolation boundary in
-/// [`execute_job`].
+/// Runs one job from the worker's warm slot (for the determinism
+/// spot-check, once more warmed up cold). Runs inside `catch_unwind`;
+/// panics (including the synthetic fixture's) unwind to the isolation
+/// boundary in [`execute_job`].
 ///
 /// With checkpointing configured, the run writes snapshots into the job's
 /// private directory and — when a previous attempt (killed campaign, failed
 /// run) left a valid snapshot behind — restores from the newest one instead
 /// of repeating the simulated prefix. The restore contract guarantees the
 /// final state digest is unchanged either way.
-fn run_job(job: &Job, verify: bool) -> Result<(Report, SnapOutcome), SimError> {
+fn run_job(
+    job: &Job,
+    verify: bool,
+    slot: &mut WarmSlot,
+) -> Result<(Report, SnapOutcome), SimError> {
     if job.panics {
         panic!(
             "synthetic panic fixture: poisoned configuration for {}",
@@ -205,16 +212,9 @@ fn run_job(job: &Job, verify: bool) -> Result<(Report, SnapOutcome), SimError> {
             builder = builder.restore(found.path);
         }
     }
-    let (report, snap) = builder.try_run_snap()?;
+    let (report, snap) = builder.try_run_warm(slot)?;
     if verify {
-        let (second, _) = builder.try_run_snap()?;
-        let (a, b) = (report.state_digest(), second.state_digest());
-        if a != b {
-            return Err(SimError::Nondeterministic {
-                first: a,
-                second: b,
-            });
-        }
+        builder.try_verify(&report)?;
     }
     Ok((report, snap))
 }
@@ -293,7 +293,7 @@ fn classify_attempt(record: &mut JournalRecord, outcome: AttemptOutcome) -> bool
 /// failures fail again quickly — the retry resumes just before the failure
 /// point — while host-level flukes (and runs re-executed after a killed
 /// campaign) complete with `resumed_from_cycle` journaled.
-fn execute_job(job: &Job, verify: bool) -> (JournalRecord, bool) {
+fn execute_job(job: &Job, verify: bool, slot: &mut WarmSlot) -> (JournalRecord, bool) {
     let mut record = job.record.clone();
     #[expect(
         clippy::disallowed_methods,
@@ -301,13 +301,13 @@ fn execute_job(job: &Job, verify: bool) -> (JournalRecord, bool) {
     )]
     let started = Instant::now();
     let before = newest_checkpoint_cycle(job);
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_job(job, verify)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_job(job, verify, slot)));
     let mut mismatch = classify_attempt(&mut record, outcome);
     if !matches!(record.status, RunStatus::Ok | RunStatus::Recovered)
         && newest_checkpoint_cycle(job) > before
     {
         let first_detail = std::mem::take(&mut record.detail);
-        let retry = catch_unwind(AssertUnwindSafe(|| run_job(job, verify)));
+        let retry = catch_unwind(AssertUnwindSafe(|| run_job(job, verify, slot)));
         mismatch = classify_attempt(&mut record, retry);
         if !matches!(record.status, RunStatus::Ok | RunStatus::Recovered) {
             record.detail = format!(
@@ -320,8 +320,8 @@ fn execute_job(job: &Job, verify: bool) -> (JournalRecord, bool) {
     (record, mismatch)
 }
 
-/// Expands the campaign, skips journaled runs, and executes the rest on a
-/// worker pool, journaling each result as it lands.
+/// Expands the campaign, skips journaled runs, and executes the rest on
+/// [`run_pool`], journaling each result as it lands.
 ///
 /// # Errors
 ///
@@ -380,11 +380,8 @@ pub fn run_campaign(
     let completed = loaded.completed_keys();
 
     let mut todo: Vec<(Job, bool)> = Vec::new();
-    let mut skipped = 0usize;
     for job in jobs {
-        if completed.contains(&job.record.config_digest) {
-            skipped += 1;
-        } else {
+        if !completed.contains(&job.record.config_digest) {
             let sample = campaign.determinism_sample;
             let verify =
                 sample > 0 && !job.panics && (todo.len() as u64 + 1).is_multiple_of(sample);
@@ -395,44 +392,14 @@ pub fn run_campaign(
     let mut writer = JournalWriter::open_append(&options.journal)
         .map_err(|e| harness_err(format!("opening {}: {e}", options.journal.display())))?;
 
-    let jobs = if options.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        options.jobs
-    }
-    .min(todo.len().max(1));
-
     let mut summary = CampaignSummary {
         total,
-        ok: 0,
-        recovered: 0,
-        failed: 0,
-        hung: 0,
-        skipped,
+        skipped: total - todo.len(),
         determinism_checked: todo.iter().filter(|(_, v)| *v).count(),
-        determinism_mismatches: 0,
-        resumed: 0,
-        elapsed_ms: 0,
-        jobs,
-        failures: Vec::new(),
-        slowest: Vec::new(),
-        metrics: MetricsRegistry::new(),
+        ..CampaignSummary::default()
     };
-    let ok_id = summary.metrics.counter("campaign.runs_ok");
-    let recovered_id = summary.metrics.counter("campaign.runs_recovered");
-    let failed_id = summary.metrics.counter("campaign.runs_failed");
-    let hung_id = summary.metrics.counter("campaign.runs_hung");
-    let skipped_id = summary.metrics.counter("campaign.runs_skipped");
-    let mismatch_id = summary.metrics.counter("campaign.determinism_mismatches");
-    let host_id = summary.metrics.counter("campaign.host_nanos");
-    let energy_id = summary.metrics.counter("campaign.energy_pj");
-    let resumed_id = summary.metrics.counter("campaign.runs_resumed");
-    let journal_skipped_id = summary.metrics.counter("campaign.journal_skipped_lines");
     let cycles_id = summary.metrics.histogram("campaign.run_cycles");
-    summary.metrics.add(skipped_id, skipped as u64);
-    summary
-        .metrics
-        .add(journal_skipped_id, loaded.dropped_lines as u64);
+    let (mut host_nanos, mut energy_pj) = (0, 0);
 
     #[expect(
         clippy::disallowed_methods,
@@ -440,100 +407,88 @@ pub fn run_campaign(
     )]
     let started = Instant::now();
     let pending = todo.len();
-    let queue = Mutex::new(todo.into_iter().collect::<VecDeque<_>>());
-    let (tx, rx) = mpsc::channel::<(JournalRecord, bool)>();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let queue = &queue;
-            scope.spawn(move || loop {
-                let job = queue.lock().map(|mut q| q.pop_front());
-                match job {
-                    Ok(Some((job, verify))) => {
-                        if tx.send(execute_job(&job, verify)).is_err() {
-                            return;
-                        }
-                    }
-                    // Queue empty or poisoned (a sibling panicked while
-                    // holding the lock — impossible with pop_front alone,
-                    // but stop cleanly rather than spin).
-                    _ => return,
-                }
-            });
+    let mut slot = WarmSlot::default();
+    let record_done = |_: &(Job, bool), (record, mismatch): (JournalRecord, bool)| {
+        let count = match record.status {
+            RunStatus::Ok => &mut summary.ok,
+            RunStatus::Recovered => &mut summary.recovered,
+            RunStatus::Failed => &mut summary.failed,
+            RunStatus::Hung => &mut summary.hung,
+        };
+        *count += 1;
+        if matches!(record.status, RunStatus::Ok | RunStatus::Recovered) {
+            summary.metrics.observe(cycles_id, record.cycles);
+        } else {
+            summary.failures.push(record.clone());
         }
-        drop(tx);
-        for done in 1..=pending {
-            let Ok((record, mismatch)) = rx.recv() else {
-                break;
-            };
-            match record.status {
-                RunStatus::Ok => {
-                    summary.ok += 1;
-                    summary.metrics.add(ok_id, 1);
-                    summary.metrics.observe(cycles_id, record.cycles);
-                }
-                RunStatus::Recovered => {
-                    summary.recovered += 1;
-                    summary.metrics.add(recovered_id, 1);
-                    summary.metrics.observe(cycles_id, record.cycles);
-                }
-                RunStatus::Failed => {
-                    summary.failed += 1;
-                    summary.metrics.add(failed_id, 1);
-                }
-                RunStatus::Hung => {
-                    summary.hung += 1;
-                    summary.metrics.add(hung_id, 1);
-                }
-            }
-            if mismatch {
-                summary.determinism_mismatches += 1;
-                summary.metrics.add(mismatch_id, 1);
-            }
-            if record.resumed_from_cycle > 0 {
-                summary.resumed += 1;
-                summary.metrics.add(resumed_id, 1);
-            }
-            summary.metrics.add(host_id, record.host_nanos);
-            summary.metrics.add(energy_id, record.energy_pj);
-            // Per-run heartbeat, so a long campaign is observable while it
-            // runs (stderr: the report itself goes to stdout).
-            eprintln!(
-                "[campaign {done}/{pending}] {}/{} seed {}: {} in {:.2} s ({:.0} cycles/s) | {} ok {} recovered {} failed {} hung",
-                record.scheme,
-                record.workload,
-                record.seed,
-                record.status,
-                record.host_nanos as f64 / 1e9,
-                record.cycles_per_sec(),
-                summary.ok,
-                summary.recovered,
-                summary.failed,
-                summary.hung,
-            );
-            summary.slowest.push(record.clone());
-            summary
-                .slowest
-                .sort_by_key(|r| std::cmp::Reverse(r.host_nanos));
-            summary.slowest.truncate(SLOWEST_KEPT);
-            if !matches!(record.status, RunStatus::Ok | RunStatus::Recovered) {
-                summary.failures.push(record.clone());
-            }
-            if let Err(e) = writer.append(&record) {
-                return Err(harness_err(format!(
-                    "writing {}: {e}",
-                    options.journal.display()
-                )));
-            }
-        }
-        Ok(())
-    })?;
+        summary.determinism_mismatches += usize::from(mismatch);
+        summary.resumed += usize::from(record.resumed_from_cycle > 0);
+        host_nanos += record.host_nanos;
+        energy_pj += record.energy_pj;
+        // Per-run heartbeat, so a long campaign is observable while it
+        // runs (stderr: the report itself goes to stdout).
+        eprintln!(
+            "[campaign {}/{pending}] {}/{} seed {}: {} in {:.2} s ({:.0} cycles/s) | {} ok {} recovered {} failed {} hung",
+            summary.ok + summary.recovered + summary.failed + summary.hung,
+            record.scheme,
+            record.workload,
+            record.seed,
+            record.status,
+            record.host_nanos as f64 / 1e9,
+            record.cycles_per_sec(),
+            summary.ok,
+            summary.recovered,
+            summary.failed,
+            summary.hung,
+        );
+        summary.slowest.push(record.clone());
+        summary
+            .slowest
+            .sort_by_key(|r| std::cmp::Reverse(r.host_nanos));
+        summary.slowest.truncate(SLOWEST_KEPT);
+        writer
+            .append(&record)
+            .map_err(|e| harness_err(format!("writing {}: {e}", options.journal.display())))
+    };
+    summary.jobs = run_pool(
+        &todo,
+        |(job, _)| &job.builder,
+        options.jobs,
+        &mut slot,
+        |(job, verify), slot| execute_job(job, *verify, slot),
+        record_done,
+    )?;
     summary.elapsed_ms = started.elapsed().as_millis() as u64;
+    summary.warmups = slot.warmups();
+    for (name, value) in [
+        ("campaign.runs_ok", summary.ok as u64),
+        ("campaign.runs_recovered", summary.recovered as u64),
+        ("campaign.runs_failed", summary.failed as u64),
+        ("campaign.runs_hung", summary.hung as u64),
+        ("campaign.runs_skipped", summary.skipped as u64),
+        (
+            "campaign.determinism_mismatches",
+            summary.determinism_mismatches as u64,
+        ),
+        ("campaign.runs_resumed", summary.resumed as u64),
+        (
+            "campaign.journal_skipped_lines",
+            loaded.dropped_lines as u64,
+        ),
+        ("campaign.warmups", summary.warmups as u64),
+        ("campaign.host_nanos", host_nanos),
+        ("campaign.energy_pj", energy_pj),
+    ] {
+        let id = summary.metrics.counter(name);
+        summary.metrics.add(id, value);
+    }
     Ok(summary)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     const TINY: &str = "schemes = [\"baseline\"]\nworkloads = [\"GUPS\"]\nseeds = [1]\n\
@@ -544,6 +499,11 @@ mod tests {
     fn tiny_job(extra: &str) -> Job {
         let campaign = Campaign::from_toml_str(&format!("{TINY}{extra}")).unwrap();
         campaign.expand().unwrap().pop().unwrap()
+    }
+
+    /// [`execute_job`] from a fresh warm slot: a cold warm-up.
+    fn execute_cold(job: &Job, verify: bool) -> (JournalRecord, bool) {
+        execute_job(job, verify, &mut WarmSlot::default())
     }
 
     /// `checkpoint_every` and `checkpoint_dir` lines for a checkpoint root.
@@ -564,7 +524,7 @@ mod tests {
 
     #[test]
     fn panic_fixture_is_isolated_and_classified_failed() {
-        let (record, mismatch) = execute_job(&tiny_job("include_panic_fixture = true\n"), false);
+        let (record, mismatch) = execute_cold(&tiny_job("include_panic_fixture = true\n"), false);
         assert_eq!(record.status, RunStatus::Failed);
         assert!(
             record.detail.contains("synthetic panic fixture"),
@@ -577,7 +537,7 @@ mod tests {
 
     #[test]
     fn hang_fixture_is_classified_hung_with_trail() {
-        let (record, _) = execute_job(&tiny_job("include_hang_fixture = true\n"), false);
+        let (record, _) = execute_cold(&tiny_job("include_hang_fixture = true\n"), false);
         assert_eq!(record.status, RunStatus::Hung);
         assert!(
             record.detail.contains("liveness violation"),
@@ -593,7 +553,7 @@ mod tests {
 
     #[test]
     fn normal_job_reports_cycles_and_digest() {
-        let (record, _) = execute_job(&tiny_job(""), true);
+        let (record, _) = execute_cold(&tiny_job(""), true);
         assert_eq!(record.status, RunStatus::Ok, "{}", record.detail);
         assert!(record.cycles > 0);
         assert!(record.state_digest.is_some());
@@ -621,14 +581,14 @@ mod tests {
             ))
         };
         let job = faulted(true);
-        let (record, mismatch) = execute_job(&job, true);
+        let (record, mismatch) = execute_cold(&job, true);
         assert_eq!(record.status, RunStatus::Recovered, "{}", record.detail);
         assert!(!mismatch, "recovery must stay digest-deterministic");
         assert!(record.state_digest.is_some());
         assert!(record.repro.ends_with("--recovery"), "{}", record.repro);
         // The same run without recovery still completes (legacy degrade
         // path) and journals plain ok.
-        let (record, _) = execute_job(&faulted(false), false);
+        let (record, _) = execute_cold(&faulted(false), false);
         assert_eq!(record.status, RunStatus::Ok, "{}", record.detail);
         std::fs::remove_file(&plan).ok();
     }
@@ -643,7 +603,7 @@ mod tests {
             "instructions = 4000\nwarmup = 2000\n{}",
             checkpointing(300, &root)
         ));
-        let (first, _) = execute_job(&job, false);
+        let (first, _) = execute_cold(&job, false);
         assert_eq!(first.status, RunStatus::Ok, "{}", first.detail);
         assert_eq!(first.resumed_from_cycle, 0, "first run starts at cycle 0");
         let subdir = job.checkpoints.clone().unwrap();
@@ -651,7 +611,7 @@ mod tests {
             std::fs::read_dir(&subdir).unwrap().count() > 0,
             "checkpoints must have been written"
         );
-        let (second, _) = execute_job(&job, false);
+        let (second, _) = execute_cold(&job, false);
         assert_eq!(second.status, RunStatus::Ok, "{}", second.detail);
         assert!(
             second.resumed_from_cycle > 0,
@@ -677,7 +637,7 @@ mod tests {
         // carries a single failure, not a retry trail.
         let root = snap_root("noretry");
         let job = tiny_job(&format!("instructions = 0\n{}", checkpointing(300, &root)));
-        let (record, _) = execute_job(&job, false);
+        let (record, _) = execute_cold(&job, false);
         assert_eq!(record.status, RunStatus::Failed);
         assert!(
             record.detail.contains("before one memory cycle"),
@@ -703,7 +663,7 @@ mod tests {
             "include_hang_fixture = true\n{}",
             checkpointing(10, &root)
         ));
-        let (record, _) = execute_job(&job, false);
+        let (record, _) = execute_cold(&job, false);
         assert_eq!(record.status, RunStatus::Hung, "{}", record.detail);
         assert!(
             record.detail.contains("retry from checkpoint"),
@@ -878,6 +838,57 @@ mod tests {
         );
         assert_eq!(summary.ok, 1, "the run itself executes normally");
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn pooled_campaign_journals_what_cold_runs_produce_and_warms_each_key_once() {
+        // Three schemes share each (workload, seed) warm key: 12 cells over
+        // 4 keys, plus the fixtures, which share the first cell's key.
+        let campaign = Campaign::from_toml_str(
+            "schemes = [\"baseline\", \"pra\", \"half-dram\"]\nworkloads = [\"GUPS\", \"lbm\"]\n\
+             seeds = [1, 2]\ninstructions = 300\nwarmup = 1000\ndeterminism_sample = 5\n\
+             include_panic_fixture = true\ninclude_hang_fixture = true\n",
+        )
+        .unwrap();
+        let outcome = |record: &JournalRecord| (record.status, record.state_digest);
+        let cold: HashMap<u64, _> = campaign
+            .expand()
+            .unwrap()
+            .iter()
+            .map(|job| {
+                let (record, _) = execute_cold(job, false);
+                (record.config_digest, outcome(&record))
+            })
+            .collect();
+        assert_eq!(cold.len(), 14);
+        for jobs in [1, 2] {
+            let root = snap_root(&format!("pooled{jobs}"));
+            let options = CampaignOptions {
+                jobs,
+                journal: root.join("journal.jsonl"),
+                resume: false,
+            };
+            let summary = run_campaign(&campaign, &options).unwrap();
+            assert_eq!(summary.warmups, 4, "jobs = {jobs}: {}", summary.render());
+            assert_eq!(summary.metrics.counter_value("campaign.warmups"), Some(4));
+            assert!(
+                summary.render().contains(", 4 warm-ups"),
+                "{}",
+                summary.render()
+            );
+            assert_eq!(
+                summary.determinism_mismatches, 0,
+                "forked and cold runs agree"
+            );
+            let pooled: HashMap<u64, _> = load_journal(&options.journal)
+                .unwrap()
+                .records
+                .iter()
+                .map(|record| (record.config_digest, outcome(record)))
+                .collect();
+            assert_eq!(pooled, cold, "jobs = {jobs}");
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     #[test]
